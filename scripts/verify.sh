@@ -22,8 +22,18 @@ cargo build --benches --workspace --quiet
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+echo "==> golden reports (byte-identical to tests/golden/)"
+# The paper tables and figures, the --metrics trace fingerprint and the
+# fault campaign fingerprints must not change by a single byte unless a
+# change means to change the model; regenerate the goldens only then.
+golden_out="$(mktemp -d)"
+trap 'rm -rf "$golden_out"' EXIT
+cargo run -p contutto-bench --release --bin tables --quiet > "$golden_out/tables.txt"
+diff -u tests/golden/tables.txt "$golden_out/tables.txt"
+
 echo "==> fault campaign (smoke)"
-cargo run -p contutto-bench --release --bin faults --quiet -- --smoke
+cargo run -p contutto-bench --release --bin faults --quiet -- --smoke | tee "$golden_out/faults_smoke.txt"
+diff -u tests/golden/faults_smoke.txt "$golden_out/faults_smoke.txt"
 
 echo "==> media-fault campaign (smoke)"
 cargo run -p contutto-bench --release --bin faults --quiet -- --media --smoke
