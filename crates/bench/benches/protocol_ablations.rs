@@ -72,11 +72,11 @@ fn bench_tag_throttling(c: &mut Criterion) {
             let mut ch = contutto_channel(ContuttoConfig::base());
             let mut done = 0;
             for i in 0..32u64 {
-                ch.submit(CommandOp::Read { addr: i * 128 }).unwrap();
+                ch.enqueue_command(CommandOp::Read { addr: i * 128 });
             }
             let deadline = ch.now() + contutto_sim::SimTime::from_ms(10);
             while done < 32 {
-                ch.next_completion(deadline).unwrap();
+                ch.next_completion(deadline).unwrap().1.unwrap();
                 done += 1;
             }
             ch.now()

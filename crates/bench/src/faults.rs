@@ -27,7 +27,7 @@ use contutto_dmi::command::{CacheLine, CommandOp};
 use contutto_dmi::link::BitErrorInjector;
 use contutto_dmi::training::TrainerConfig;
 use contutto_dmi::DmiError;
-use contutto_power8::channel::{ChannelConfig, DmiChannel, RetryPolicy};
+use contutto_power8::channel::{ChannelConfig, CmdId, DmiChannel, RetryPolicy};
 use contutto_sim::{MetricsRegistry, SimTime};
 
 /// The retry policy every campaign run uses: tight enough that a
@@ -363,26 +363,21 @@ fn serial_workload(ch: &mut DmiChannel, seed: u64, lines: u64) -> (u64, Option<D
 }
 
 /// The replay-pressure phase: fill the tag pool with pipelined reads
-/// over already-written lines and match completions back by tag.
+/// over already-written lines and match results back by command id.
 fn pipelined_workload(ch: &mut DmiChannel, seed: u64, lines: u64) -> (u64, Option<DmiError>) {
-    let mut expect: BTreeMap<u8, (u64, CacheLine)> = BTreeMap::new();
+    let mut expect: BTreeMap<CmdId, CacheLine> = BTreeMap::new();
     let inflight = lines.min(24);
     for i in 0..inflight {
-        let addr = i * 128;
         let line = CacheLine::patterned(seed.wrapping_mul(1000) + (i % lines));
-        match ch.submit(CommandOp::Read { addr }) {
-            Ok(tag) => {
-                expect.insert(tag.raw(), (addr, line));
-            }
-            Err(e) => return (0, Some(e)),
-        }
+        expect.insert(ch.enqueue_command(CommandOp::Read { addr: i * 128 }), line);
     }
     let mut mismatches = 0;
     for _ in 0..inflight {
         let deadline = ch.now() + campaign_policy().op_timeout;
         match ch.next_completion(deadline) {
-            Some(c) => {
-                let Some((_, want)) = expect.remove(&c.tag.raw()) else {
+            Some((_, Err(e))) => return (mismatches, Some(e)),
+            Some((id, Ok(c))) => {
+                let Some(want) = expect.remove(&id) else {
                     mismatches += 1;
                     continue;
                 };

@@ -9,11 +9,12 @@
 //! slow buffer visibly throttles the processor, exactly the effect
 //! the paper warns about.
 //!
-//! Commands flow through a **non-blocking submit/poll path**: software
-//! enqueues tagged commands with [`DmiChannel::enqueue_command`], the
-//! channel keeps up to a configurable window of them in flight at
-//! once, and finished commands are collected with
-//! [`DmiChannel::poll_command`]. The degradation ladder
+//! Commands flow through one **non-blocking submit/poll path**:
+//! [`DmiChannel::enqueue_command`] is the only way to issue a command.
+//! The channel keeps up to a configurable window of them in flight at
+//! once, and finished commands are collected by [`CmdId`] with
+//! [`DmiChannel::poll_command`], [`DmiChannel::next_completion`] or
+//! [`DmiChannel::wait_for_command`]. The degradation ladder
 //! ([`RetryPolicy`]) is **per tag**, advanced by [`DmiChannel::step`]:
 //! each in-flight command carries its own deadline, attempt count and
 //! retrain budget, so one hung tag times out, backs off and retries
@@ -134,13 +135,16 @@ impl CmdId {
 }
 
 /// A tracked command waiting on the software issue queue — either
-/// freshly enqueued or parked for a retry backoff.
+/// freshly enqueued or parked for a retry backoff. An issued command
+/// keeps it in its [`Pending`] entry, so a retry or requeue puts the
+/// same record back.
 #[derive(Debug, Clone)]
 struct QueuedCmd {
     op: CommandOp,
     /// When the command first entered the queue (ladder accounting).
     enqueued: SimTime,
-    /// Attempt number the next issue will be (1-based).
+    /// Attempt number the next issue will be (1-based); once issued,
+    /// the attempt in flight.
     attempt: u32,
     /// Retrain escalations already spent on this command.
     retrains_used: u32,
@@ -150,42 +154,31 @@ struct QueuedCmd {
     abs_deadline: Option<SimTime>,
 }
 
-/// Ladder state carried by an in-flight tracked command: its identity,
-/// the op to resubmit on retry, and the per-attempt deadline that
-/// `step()` checks every slot.
-#[derive(Debug, Clone)]
-struct TrackedPending {
-    id: CmdId,
-    op: CommandOp,
-    enqueued: SimTime,
-    attempt: u32,
-    retrains_used: u32,
-    deadline: SimTime,
-    /// Absolute request deadline (see [`QueuedCmd::abs_deadline`]).
-    abs_deadline: Option<SimTime>,
-}
-
+/// A command on a link tag, from issue until its done arrives. Every
+/// in-flight command is tracked: it carries its [`CmdId`], its ladder
+/// state (the queued record it issued from, resubmitted on retry) and
+/// the per-attempt deadline that `step()` checks every slot.
 #[derive(Debug)]
 struct Pending {
+    id: CmdId,
+    cmd: QueuedCmd,
+    deadline: SimTime,
     issued: SimTime,
-    addr: u64,
     assembler: Option<LineAssembler>,
     data: Option<CacheLine>,
     poisoned: bool,
-    /// Present when this tag carries a tracked command; raw
-    /// [`DmiChannel::submit`] tags have no ladder state.
-    tracked: Option<TrackedPending>,
 }
 
-/// A completed command: tag, completion time, read data if any, and
-/// the issue time (for latency accounting).
+/// A successfully finished command: the tag its last attempt rode,
+/// completion time, read data if any, and the issue time (for latency
+/// accounting). Delivered under its [`CmdId`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Completion {
     /// The command's tag (already released back to the pool).
     pub tag: Tag,
     /// When the done notification reached the host.
     pub completed_at: SimTime,
-    /// When the command was submitted.
+    /// When the attempt that completed was issued onto its tag.
     pub issued_at: SimTime,
     /// Read data, for reads.
     pub data: Option<CacheLine>,
@@ -226,7 +219,6 @@ pub struct DmiChannel {
     slot: SimTime,
     tags: TagPool,
     pending: BTreeMap<Tag, Pending>,
-    completions: VecDeque<Completion>,
     /// Tags abandoned by timed-out waiters, keyed to when they were
     /// parked. Held out of the pool until a late response proves them
     /// safe, a retrain flushes link state, or the quarantine ages out.
@@ -315,7 +307,6 @@ impl DmiChannel {
             slot: cfg.speed.frame_time(),
             tags: TagPool::new(),
             pending: BTreeMap::new(),
-            completions: VecDeque::new(),
             quarantine: BTreeMap::new(),
             queue: BTreeMap::new(),
             finished: BTreeMap::new(),
@@ -509,10 +500,7 @@ impl DmiChannel {
 
     /// Tracked commands currently in flight on link tags.
     pub fn tracked_in_flight(&self) -> usize {
-        self.pending
-            .values()
-            .filter(|p| p.tracked.is_some())
-            .count()
+        self.pending.len()
     }
 
     /// Tracked commands waiting on the software issue queue.
@@ -523,7 +511,7 @@ impl DmiChannel {
     /// True while tracked commands still need [`DmiChannel::step`] to
     /// make progress (queued or in flight).
     pub fn has_command_work(&self) -> bool {
-        !self.queue.is_empty() || self.pending.values().any(|p| p.tracked.is_some())
+        !self.queue.is_empty() || !self.pending.is_empty()
     }
 
     /// The in-flight window for tracked commands.
@@ -703,20 +691,23 @@ impl DmiChannel {
             self.host.attach_tracer(self.tracer.clone());
             self.buffer_ep.attach_tracer(self.tracer.clone());
         }
-        // Tracked commands caught in flight are innocent bystanders of
-        // the reset: requeue them (RMWs excepted — their merge may
-        // already have landed, so they abort with a typed error) before
-        // their tags are reclaimed. Hold the issue gate through the
-        // settle window so requeued commands cannot reuse a tag while
-        // stale responses are still arriving.
-        self.requeue_bystanders();
+        // Commands caught in flight are innocent bystanders of the
+        // reset: each is requeued with its attempt budget intact (RMWs
+        // excepted — their merge may already have landed, so they abort
+        // with a typed error), and since no response can complete it
+        // across the reset, its tag goes straight back to the pool.
+        // Hold the issue gate through the settle window so requeued
+        // commands cannot reuse a tag while stale responses are still
+        // arriving.
         let hold = self.now + RETRAIN_SETTLE;
         self.issue_hold = self.issue_hold.max(hold);
-        // Abort outstanding commands: across the link reset no response
-        // can complete them, so their tags go straight back to the pool.
-        let aborted: Vec<Tag> = self.pending.keys().copied().collect();
-        for tag in aborted {
-            self.pending.remove(&tag);
+        for (tag, p) in std::mem::take(&mut self.pending) {
+            if let CommandOp::Rmw { addr, .. } = p.cmd.op {
+                self.rmw_aborts += 1;
+                self.finish(p.id, Err(DmiError::RmwAborted { addr }));
+            } else {
+                self.queue.insert((self.now, p.id), p.cmd);
+            }
             if self.tags.reclaim(tag) {
                 self.tags_reclaimed += 1;
             }
@@ -757,7 +748,7 @@ impl DmiChannel {
     }
 
     /// The power rail drops at `at` (clamped forward to the channel's
-    /// clock): every in-flight frame, pending command, completion,
+    /// clock): every in-flight frame, pending command,
     /// quarantined tag and both endpoints' replay state is volatile
     /// and dies instantly — nothing is retried, nothing settles, the
     /// training is gone. The buffer's own power-cut path runs (an
@@ -782,7 +773,6 @@ impl DmiChannel {
             self.tags.attach_tracer(self.tracer.clone());
         }
         self.pending.clear();
-        self.completions.clear();
         self.quarantine.clear();
         // The software issue queue and finished-command index are
         // processor-side SRAM: gone with the rail. CmdIds stay
@@ -807,67 +797,14 @@ impl DmiChannel {
         (ready, outcome)
     }
 
-    /// Submits a command; returns its tag.
-    ///
-    /// This is the raw, untracked path: the caller owns the tag's
-    /// lifecycle and collects its [`Completion`] from
-    /// [`DmiChannel::next_completion`] / [`DmiChannel::take_completions`].
-    /// No recovery ladder runs for it. Most callers want
-    /// [`DmiChannel::enqueue_command`] instead.
-    ///
-    /// # Errors
-    ///
-    /// [`DmiError::NoFreeTag`] when all 32 tags are outstanding — the
-    /// caller must drain completions first (tag throttling).
-    pub fn submit(&mut self, op: CommandOp) -> Result<Tag, DmiError> {
-        self.submit_inner(op, None)
-    }
-
-    fn submit_inner(
-        &mut self,
-        op: CommandOp,
-        tracked: Option<TrackedPending>,
-    ) -> Result<Tag, DmiError> {
-        let tag = self.tags.acquire()?;
-        let header = CommandHeader::from_op(&op);
-        self.host
-            .enqueue(DownstreamPayload::Command { tag, header });
-        let (assembler, write_data) = match &op {
-            CommandOp::Read { .. } => (Some(LineAssembler::upstream()), None),
-            CommandOp::Write { data, .. } | CommandOp::Rmw { data, .. } => (None, Some(*data)),
-            CommandOp::Flush => (None, None),
-        };
-        let addr = match &op {
-            CommandOp::Read { addr }
-            | CommandOp::Write { addr, .. }
-            | CommandOp::Rmw { addr, .. } => *addr,
-            CommandOp::Flush => 0,
-        };
-        if let Some(data) = write_data {
-            for beat in line_to_downstream_beats(tag, &data) {
-                self.host.enqueue(beat);
-            }
-        }
-        self.pending.insert(
-            tag,
-            Pending {
-                issued: self.now,
-                addr,
-                assembler,
-                data: None,
-                poisoned: false,
-                tracked,
-            },
-        );
-        Ok(tag)
-    }
-
-    /// Enqueues a tracked command on the software issue queue and
-    /// returns its [`CmdId`]. The command issues onto a link tag as
-    /// soon as the in-flight window and tag pool allow; `step()` then
-    /// drives its per-tag recovery ladder (timeout → backoff retry →
-    /// retrain escalation → typed error). Collect its result with
-    /// [`DmiChannel::poll_command`] or [`DmiChannel::wait_for_command`].
+    /// Enqueues a command on the software issue queue and returns its
+    /// [`CmdId`]. This is the only way to issue a command. It goes onto
+    /// a link tag at the top of the next [`DmiChannel::step`], as soon
+    /// as the in-flight window and tag pool allow; `step()` then drives
+    /// its per-tag recovery ladder (timeout → backoff retry → retrain
+    /// escalation → typed error). Collect its result with
+    /// [`DmiChannel::poll_command`], [`DmiChannel::next_completion`] or
+    /// [`DmiChannel::wait_for_command`].
     ///
     /// RMW commands are accepted but **never retried**: a timed-out or
     /// reset-aborted RMW finishes with [`DmiError::RmwAborted`],
@@ -936,10 +873,7 @@ impl DmiChannel {
             }
             assert!(
                 self.queue.keys().any(|&(_, q)| q == id)
-                    || self
-                        .pending
-                        .values()
-                        .any(|p| p.tracked.as_ref().is_some_and(|t| t.id == id)),
+                    || self.pending.values().any(|p| p.id == id),
                 "wait_for_command: command {id:?} is not queued, in flight, or finished"
             );
             self.step();
@@ -970,19 +904,43 @@ impl DmiChannel {
                 self.finish(id, Err(DmiError::DeadlineExceeded { waited }));
                 continue;
             }
-            let tracked = TrackedPending {
-                id,
-                op: qc.op.clone(),
-                enqueued: qc.enqueued,
-                attempt: qc.attempt,
-                retrains_used: qc.retrains_used,
-                deadline: self.now + self.retry.op_timeout,
-                abs_deadline: qc.abs_deadline,
-            };
-            if let Err(e) = self.submit_inner(qc.op, Some(tracked)) {
+            if let Err(e) = self.issue(id, qc) {
                 self.finish(id, Err(e));
             }
         }
+    }
+
+    /// Puts a queued command onto a free link tag: its header, then any
+    /// write-data beats, join the host's transmit queue, and its
+    /// per-attempt deadline starts now.
+    fn issue(&mut self, id: CmdId, cmd: QueuedCmd) -> Result<(), DmiError> {
+        let tag = self.tags.acquire()?;
+        let header = CommandHeader::from_op(&cmd.op);
+        self.host
+            .enqueue(DownstreamPayload::Command { tag, header });
+        let assembler = match &cmd.op {
+            CommandOp::Read { .. } => Some(LineAssembler::upstream()),
+            CommandOp::Write { data, .. } | CommandOp::Rmw { data, .. } => {
+                for beat in line_to_downstream_beats(tag, data) {
+                    self.host.enqueue(beat);
+                }
+                None
+            }
+            CommandOp::Flush => None,
+        };
+        self.pending.insert(
+            tag,
+            Pending {
+                id,
+                cmd,
+                deadline: self.now + self.retry.op_timeout,
+                issued: self.now,
+                assembler,
+                data: None,
+                poisoned: false,
+            },
+        );
+        Ok(())
     }
 
     /// Advances the per-tag ladders: any tracked command past its
@@ -992,7 +950,7 @@ impl DmiChannel {
         while let Some(tag) = self
             .pending
             .iter()
-            .find(|(_, p)| p.tracked.as_ref().is_some_and(|t| self.now > t.deadline))
+            .find(|(_, p)| self.now > p.deadline)
             .map(|(&tag, _)| tag)
         {
             self.on_tracked_timeout(tag);
@@ -1004,32 +962,31 @@ impl DmiChannel {
     /// a backoff retry, escalates to a retrain, or exhausts the ladder
     /// and surfaces [`DmiError::Timeout`].
     fn on_tracked_timeout(&mut self, tag: Tag) {
-        let mut pending = self.pending.remove(&tag).expect("caller found tag pending");
-        let t = pending.tracked.take().expect("caller checked tracked");
+        let Pending { id, cmd, .. } = self.pending.remove(&tag).expect("caller found tag pending");
         self.tracer
             .record(TraceEvent::TagTimeout { tag: tag.raw() });
         self.quarantine.insert(tag, self.now);
-        if let CommandOp::Rmw { addr, .. } = t.op {
+        if let CommandOp::Rmw { addr, .. } = cmd.op {
             // Never retry an RMW: the merge may already have landed
             // and only the done was lost, so a resubmission could
             // apply it twice. Abort with the typed error instead.
             self.rmw_aborts += 1;
-            self.finish(t.id, Err(DmiError::RmwAborted { addr }));
+            self.finish(id, Err(DmiError::RmwAborted { addr }));
             return;
         }
         // An expired request never re-queues: its submitter's deadline
         // has passed, so another attempt only adds load to a system
         // that is already behind. Fail fast with the typed error.
-        if t.abs_deadline.is_some_and(|d| self.now >= d) {
+        if cmd.abs_deadline.is_some_and(|d| self.now >= d) {
             self.deadline_drops += 1;
-            let waited = self.now - t.enqueued;
-            self.finish(t.id, Err(DmiError::DeadlineExceeded { waited }));
+            let waited = self.now - cmd.enqueued;
+            self.finish(id, Err(DmiError::DeadlineExceeded { waited }));
             return;
         }
         // The backoff-retry rung is gated by the shared retry budget:
         // under overload the bucket drains and the ladder falls through
         // to retrain / the typed error instead of multiplying traffic.
-        let retry_allowed = t.attempt < self.retry.max_attempts && {
+        let retry_allowed = cmd.attempt < self.retry.max_attempts && {
             match &self.retry_budget {
                 None => true,
                 Some(budget) => {
@@ -1042,32 +999,29 @@ impl DmiChannel {
             }
         };
         if retry_allowed {
-            let backoff = self.retry.base_backoff * (1u64 << (t.attempt - 1));
+            let backoff = self.retry.base_backoff * (1u64 << (cmd.attempt - 1));
             self.retries_scheduled += 1;
             self.tracer.record(TraceEvent::RetryScheduled {
                 tag: tag.raw(),
-                attempt: t.attempt,
+                attempt: cmd.attempt,
                 backoff_ps: backoff.as_ps(),
             });
             self.queue.insert(
-                (self.now + backoff, t.id),
+                (self.now + backoff, id),
                 QueuedCmd {
-                    op: t.op,
-                    enqueued: t.enqueued,
-                    attempt: t.attempt + 1,
-                    retrains_used: t.retrains_used,
-                    abs_deadline: t.abs_deadline,
+                    attempt: cmd.attempt + 1,
+                    ..cmd
                 },
             );
-        } else if t.retrains_used < self.retry.max_retrains {
-            self.escalate_retrain(t);
+        } else if cmd.retrains_used < self.retry.max_retrains {
+            self.escalate_retrain(id, cmd);
         } else {
             // Ladder exhausted. Reset the link so the abandoned
             // attempts cannot be delivered by a later replay (a stale
             // response must never alias a reused tag once the fault
             // clears), then surface the typed error. Tracked
             // bystanders are requeued by the reset itself.
-            let waited = self.now - t.enqueued;
+            let waited = self.now - cmd.enqueued;
             let result = match self.reset_link() {
                 Ok(()) => Err(DmiError::Timeout {
                     tag: tag.raw(),
@@ -1075,7 +1029,7 @@ impl DmiChannel {
                 }),
                 Err(e) => Err(e),
             };
-            self.finish(t.id, result);
+            self.finish(id, result);
         }
     }
 
@@ -1083,57 +1037,19 @@ impl DmiChannel {
     /// command restarts its ladder with a fresh attempt budget, every
     /// tracked bystander is requeued by the reset, and a failed
     /// retrain is charged to the escalating command alone.
-    fn escalate_retrain(&mut self, t: TrackedPending) {
-        let key = (self.now, t.id);
-        let id = t.id;
+    fn escalate_retrain(&mut self, id: CmdId, cmd: QueuedCmd) {
+        let key = (self.now, id);
         self.queue.insert(
             key,
             QueuedCmd {
-                op: t.op,
-                enqueued: t.enqueued,
                 attempt: 1,
-                retrains_used: t.retrains_used + 1,
-                abs_deadline: t.abs_deadline,
+                retrains_used: cmd.retrains_used + 1,
+                ..cmd
             },
         );
         if let Err(e) = self.retrain() {
             self.queue.remove(&key);
             self.finish(id, Err(e));
-        }
-    }
-
-    /// Takes the ladder state out of every tracked in-flight command
-    /// ahead of a link reset and requeues it (attempt budget intact —
-    /// bystanders are not penalized for someone else's hang). RMW
-    /// bystanders abort with [`DmiError::RmwAborted`] instead: their
-    /// merge may already have been applied.
-    fn requeue_bystanders(&mut self) {
-        let mut requeue = Vec::new();
-        let mut abort = Vec::new();
-        for p in self.pending.values_mut() {
-            if let Some(t) = p.tracked.take() {
-                if let CommandOp::Rmw { addr, .. } = t.op {
-                    abort.push((t.id, addr));
-                } else {
-                    requeue.push(t);
-                }
-            }
-        }
-        for t in requeue {
-            self.queue.insert(
-                (self.now, t.id),
-                QueuedCmd {
-                    op: t.op,
-                    enqueued: t.enqueued,
-                    attempt: t.attempt,
-                    retrains_used: t.retrains_used,
-                    abs_deadline: t.abs_deadline,
-                },
-            );
-        }
-        for (id, addr) in abort {
-            self.rmw_aborts += 1;
-            self.finish(id, Err(DmiError::RmwAborted { addr }));
         }
     }
 
@@ -1254,7 +1170,7 @@ impl DmiChannel {
     }
 
     fn complete(&mut self, now: SimTime, tag: Tag) {
-        let Some(mut pending) = self.pending.remove(&tag) else {
+        let Some(pending) = self.pending.remove(&tag) else {
             // A late done for a command whose waiter already gave up:
             // the buffer is alive after all, so a quarantined tag is
             // proven drained and safe to reuse. Dones for
@@ -1272,26 +1188,20 @@ impl DmiChannel {
             return;
         }
         self.command_latency.record(now - pending.issued);
-        let tracked = pending.tracked.take();
-        // Tracked successes refill the shared retry budget: the bucket
-        // grows as a fixed ratio of the success rate.
-        if tracked.is_some() {
-            if let Some(budget) = &self.retry_budget {
-                budget.borrow_mut().on_success();
-            }
+        // Successes refill the shared retry budget: the bucket grows as
+        // a fixed ratio of the success rate.
+        if let Some(budget) = &self.retry_budget {
+            budget.borrow_mut().on_success();
         }
         let completion = Completion {
             tag,
             completed_at: now,
             issued_at: pending.issued,
             data: pending.data,
-            addr: pending.addr,
+            addr: pending.cmd.op.addr().unwrap_or(0),
             poisoned: pending.poisoned,
         };
-        match tracked {
-            Some(t) => self.finish(t.id, Ok(completion)),
-            None => self.completions.push_back(completion),
-        }
+        self.finish(pending.id, Ok(completion));
     }
 
     /// Runs until time `t`.
@@ -1301,24 +1211,23 @@ impl DmiChannel {
         }
     }
 
-    /// Runs until a completion is available or `deadline` passes. The
-    /// deadline is inclusive: a completion arriving exactly at the
-    /// deadline tick is still delivered.
-    pub fn next_completion(&mut self, deadline: SimTime) -> Option<Completion> {
+    /// Steps the channel until some command finishes and returns it as
+    /// [`DmiChannel::poll_command`] would, or `None` once `deadline`
+    /// passes. The deadline is inclusive: a command finishing exactly
+    /// at the deadline tick is still delivered.
+    pub fn next_completion(
+        &mut self,
+        deadline: SimTime,
+    ) -> Option<(CmdId, Result<Completion, DmiError>)> {
         loop {
-            if let Some(c) = self.completions.pop_front() {
-                return Some(c);
+            if let Some(done) = self.poll_command() {
+                return Some(done);
             }
             if self.now > deadline {
                 return None;
             }
             self.step();
         }
-    }
-
-    /// Drains any already-collected completions.
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        self.completions.drain(..).collect()
     }
 
     /// Convenience: enqueue a read on the tracked path and block until
@@ -1388,36 +1297,20 @@ impl DmiChannel {
         (self.pending.len() as u64).persist(out);
         for (tag, p) in &self.pending {
             tag.persist(out);
+            p.id.persist(out);
+            p.cmd.persist(out);
+            p.deadline.persist(out);
             p.issued.persist(out);
-            p.addr.persist(out);
             p.assembler.persist(out);
             p.data.persist(out);
             p.poisoned.persist(out);
-            match &p.tracked {
-                None => false.persist(out),
-                Some(t) => {
-                    true.persist(out);
-                    t.id.persist(out);
-                    t.op.persist(out);
-                    t.enqueued.persist(out);
-                    t.attempt.persist(out);
-                    t.retrains_used.persist(out);
-                    t.deadline.persist(out);
-                    t.abs_deadline.persist(out);
-                }
-            }
         }
-        self.completions.persist(out);
         self.quarantine.persist(out);
         (self.queue.len() as u64).persist(out);
         for ((not_before, id), q) in &self.queue {
             not_before.persist(out);
             id.persist(out);
-            q.op.persist(out);
-            q.enqueued.persist(out);
-            q.attempt.persist(out);
-            q.retrains_used.persist(out);
-            q.abs_deadline.persist(out);
+            q.persist(out);
         }
         (self.finished.len() as u64).persist(out);
         for (id, result) in &self.finished {
@@ -1491,45 +1384,22 @@ impl DmiChannel {
         let mut pending = BTreeMap::new();
         for _ in 0..n {
             let tag = Tag::restore(r)?;
-            let issued = SimTime::restore(r)?;
-            let addr = r.u64()?;
-            let assembler = Option::restore(r)?;
-            let data = Option::restore(r)?;
-            let poisoned = r.bool()?;
-            let tracked = if r.bool()? {
-                Some(TrackedPending {
-                    id: CmdId::restore(r)?,
-                    op: CommandOp::restore(r)?,
-                    enqueued: SimTime::restore(r)?,
-                    attempt: r.u32()?,
-                    retrains_used: r.u32()?,
-                    deadline: SimTime::restore(r)?,
-                    abs_deadline: Option::restore(r)?,
-                })
-            } else {
-                None
+            let p = Pending {
+                id: CmdId::restore(r)?,
+                cmd: QueuedCmd::restore(r)?,
+                deadline: SimTime::restore(r)?,
+                issued: SimTime::restore(r)?,
+                assembler: Option::restore(r)?,
+                data: Option::restore(r)?,
+                poisoned: r.bool()?,
             };
-            if pending
-                .insert(
-                    tag,
-                    Pending {
-                        issued,
-                        addr,
-                        assembler,
-                        data,
-                        poisoned,
-                        tracked,
-                    },
-                )
-                .is_some()
-            {
+            if pending.insert(tag, p).is_some() {
                 return Err(RestoreError::Malformed {
                     context: "duplicate pending tag",
                 });
             }
         }
         self.pending = pending;
-        self.completions = VecDeque::restore(r)?;
         self.quarantine = BTreeMap::restore(r)?;
         let n = r.len()?;
         if n > r.remaining() / 17 {
@@ -1541,13 +1411,7 @@ impl DmiChannel {
         for _ in 0..n {
             let not_before = SimTime::restore(r)?;
             let id = CmdId::restore(r)?;
-            let q = QueuedCmd {
-                op: CommandOp::restore(r)?,
-                enqueued: SimTime::restore(r)?,
-                attempt: r.u32()?,
-                retrains_used: r.u32()?,
-                abs_deadline: Option::restore(r)?,
-            };
+            let q = QueuedCmd::restore(r)?;
             if queue.insert((not_before, id), q).is_some() {
                 return Err(RestoreError::Malformed {
                     context: "duplicate queued command",
@@ -1612,6 +1476,25 @@ impl Persist for CmdId {
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
         Ok(CmdId(r.u64()?))
+    }
+}
+
+impl Persist for QueuedCmd {
+    fn persist(&self, out: &mut Vec<u8>) {
+        self.op.persist(out);
+        self.enqueued.persist(out);
+        self.attempt.persist(out);
+        self.retrains_used.persist(out);
+        self.abs_deadline.persist(out);
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        Ok(QueuedCmd {
+            op: CommandOp::restore(r)?,
+            enqueued: SimTime::restore(r)?,
+            attempt: r.u32()?,
+            retrains_used: r.u32()?,
+            abs_deadline: Option::restore(r)?,
+        })
     }
 }
 
@@ -1680,13 +1563,13 @@ mod tests {
     #[test]
     fn quiesce_drains_in_flight_tags() {
         let mut ch = centaur_channel();
-        ch.submit(CommandOp::Write {
+        ch.enqueue_command(CommandOp::Write {
             addr: 0x1000,
             data: CacheLine::patterned(1),
-        })
-        .unwrap();
-        ch.submit(CommandOp::Read { addr: 0x1000 }).unwrap();
-        assert!(ch.tags_available() < 32);
+        });
+        ch.enqueue_command(CommandOp::Read { addr: 0x1000 });
+        ch.step();
+        assert_eq!(ch.tags_available(), 30);
         let clean = ch.quiesce(SimTime::from_us(50)).unwrap();
         assert!(clean, "healthy link drains without a reset");
         assert_eq!(ch.tags_available(), 32);
@@ -1698,7 +1581,7 @@ mod tests {
         // Kill both directions, then leave a command in flight.
         ch.set_down_injector(BitErrorInjector::bernoulli(1.0, 99));
         ch.set_up_injector(BitErrorInjector::bernoulli(1.0, 99));
-        ch.submit(CommandOp::Read { addr: 0 }).unwrap();
+        ch.enqueue_command(CommandOp::Read { addr: 0 });
         let clean = ch.quiesce(SimTime::from_us(40)).unwrap();
         assert!(!clean, "a dead link cannot drain cleanly");
         assert_eq!(ch.tags_available(), 32, "tags reclaimed by the reset");
@@ -1721,13 +1604,16 @@ mod tests {
         ch.write_line_blocking(0x1000, line).unwrap();
         ch.buffer_mut().set_save_armed(true);
         // Leave a command in flight when the rail drops.
-        ch.submit(CommandOp::Read { addr: 0x1000 }).unwrap();
+        ch.enqueue_command(CommandOp::Read { addr: 0x1000 });
+        ch.step();
+        assert_eq!(ch.tracked_in_flight(), 1);
         let quiet = ch.power_cut(ch.now());
         assert!(quiet > ch.now(), "save engine runs past the cut");
         // All link/channel state died: tags free, training gone.
         assert_eq!(ch.tags_available(), 32);
         assert!(ch.training().is_none());
-        assert!(ch.take_completions().is_empty());
+        assert!(!ch.has_command_work());
+        assert!(ch.poll_command().is_none());
         // Power returns after the save finished: clean restore.
         let (ready, outcome) = ch.power_restore_media(quiet + SimTime::from_secs(2));
         assert_eq!(outcome, PowerRestoreOutcome::Restored);
@@ -1793,24 +1679,24 @@ mod tests {
     #[test]
     fn tag_throttling_at_32_outstanding() {
         let mut ch = contutto_channel();
-        for i in 0..32 {
-            ch.submit(CommandOp::Read { addr: i * 128 }).unwrap();
+        for i in 0..33 {
+            ch.enqueue_command(CommandOp::Read { addr: i * 128 });
         }
+        ch.step();
         assert_eq!(ch.tags_available(), 0);
-        assert!(matches!(
-            ch.submit(CommandOp::Read { addr: 0 }),
-            Err(DmiError::NoFreeTag)
-        ));
-        // Drain: all 32 complete.
+        assert_eq!(ch.tracked_in_flight(), 32);
+        assert_eq!(ch.queued_commands(), 1, "the 33rd waits for a tag");
+        // Drain: all 33 complete.
         let mut done = 0;
         let deadline = ch.now() + SimTime::from_ms(1);
-        while let Some(_c) = ch.next_completion(deadline) {
+        while let Some((_, result)) = ch.next_completion(deadline) {
+            result.unwrap();
             done += 1;
-            if done == 32 {
+            if done == 33 {
                 break;
             }
         }
-        assert_eq!(done, 32);
+        assert_eq!(done, 33);
         assert_eq!(ch.tags_available(), 32);
     }
 
@@ -1822,21 +1708,12 @@ mod tests {
         ch.write_line_blocking(0, init).unwrap();
         let mut add = CacheLine::ZERO;
         add.set_word(0, 5);
-        let tag = ch
-            .submit(CommandOp::Rmw {
-                addr: 0,
-                op: RmwOp::AtomicAdd,
-                data: add,
-            })
-            .unwrap();
-        let deadline = ch.now() + SimTime::from_ms(1);
-        loop {
-            match ch.next_completion(deadline) {
-                Some(c) if c.tag == tag => break,
-                Some(_) => {}
-                None => panic!("rmw hung"),
-            }
-        }
+        let id = ch.enqueue_command(CommandOp::Rmw {
+            addr: 0,
+            op: RmwOp::AtomicAdd,
+            data: add,
+        });
+        ch.wait_for_command(id).unwrap();
         let (result, _) = ch.read_line_blocking(0).unwrap();
         assert_eq!(result.word(0), 12);
     }
@@ -1850,12 +1727,13 @@ mod tests {
         // poison is recorded.
         use contutto_dmi::frame::UPSTREAM_BEAT_BYTES;
         let mut ch = centaur_channel();
-        let tag = ch
-            .submit(CommandOp::Write {
-                addr: 0x2000,
-                data: CacheLine::patterned(3),
-            })
-            .unwrap();
+        let id = ch.enqueue_command(CommandOp::Write {
+            addr: 0x2000,
+            data: CacheLine::patterned(3),
+        });
+        // Step once so the write issues onto its tag.
+        ch.step();
+        let (&tag, _) = ch.pending.iter().next().expect("write in flight");
         let now = ch.now();
         ch.handle_response(
             now,
@@ -1867,9 +1745,11 @@ mod tests {
             },
         );
         assert!(ch.stale_responses() >= 1, "beat not counted as stale");
-        let c = ch
+        let (done, result) = ch
             .next_completion(ch.now() + SimTime::from_us(50))
             .expect("write completes");
+        assert_eq!(done, id);
+        let c = result.unwrap();
         assert_eq!(c.tag, tag);
         assert!(!c.poisoned, "stale beat poisoned a write completion");
     }
@@ -1909,7 +1789,7 @@ mod tests {
         ch.read_line_blocking(0).unwrap(); // warm
         let t0 = ch.now();
         for i in 0..8u64 {
-            ch.submit(CommandOp::Read { addr: i * 128 }).unwrap();
+            ch.enqueue_command(CommandOp::Read { addr: i * 128 });
         }
         let deadline = ch.now() + SimTime::from_ms(1);
         let mut done = 0;

@@ -12,7 +12,7 @@
 //! measures the command path rather than DRAM bank luck. Two
 //! measurement levels reproduce the two tables' vantage points.
 
-use contutto_dmi::command::CommandOp;
+use contutto_dmi::command::{CommandOp, NUM_TAGS};
 use contutto_sim::{LatencyStats, SimTime};
 
 use crate::channel::DmiChannel;
@@ -138,14 +138,13 @@ pub fn read_throughput_lines_per_sec(channel: &mut DmiChannel, count: u64) -> f6
     let mut completed = 0u64;
     let deadline = start + SimTime::from_ms(100);
     while completed < count {
-        while submitted < count {
+        // Keep every tag busy: a new read joins as each one finishes.
+        while submitted < count && submitted - completed < NUM_TAGS as u64 {
             // A 64-line ring: rows stay open, so the wire and the tag
             // window are the limiters, not DRAM bank luck.
             let addr = (submitted % 64) * 128;
-            match channel.submit(CommandOp::Read { addr }) {
-                Ok(_) => submitted += 1,
-                Err(_) => break, // tags exhausted — throttled
-            }
+            channel.enqueue_command(CommandOp::Read { addr });
+            submitted += 1;
         }
         match channel.next_completion(deadline) {
             Some(_) => completed += 1,

@@ -16,10 +16,11 @@
 
 use std::collections::HashMap;
 
-use contutto_dmi::command::{CacheLine, CommandOp, Tag};
+use contutto_dmi::command::{CacheLine, CommandOp};
+use contutto_dmi::DmiError;
 use contutto_sim::SimTime;
 
-use crate::channel::DmiChannel;
+use crate::channel::{CmdId, Completion, DmiChannel};
 
 /// Prefetcher statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,8 +44,8 @@ pub struct StreamingLoader {
     last_addr: Option<u64>,
     stride: i64,
     confidence: u32,
-    /// Prefetches in flight: tag → target address.
-    in_flight: HashMap<Tag, u64>,
+    /// Prefetches in flight: command → target address.
+    in_flight: HashMap<CmdId, u64>,
     /// Completed prefetches awaiting use.
     buffer: HashMap<u64, CacheLine>,
     /// Next address the stream engine would fetch.
@@ -81,12 +82,22 @@ impl StreamingLoader {
     }
 
     fn drain_completions(&mut self, channel: &mut DmiChannel) {
-        for c in channel.take_completions() {
-            if let Some(addr) = self.in_flight.remove(&c.tag) {
-                if let Some(line) = c.data {
-                    self.buffer.insert(addr, line);
-                }
-            }
+        while let Some((id, result)) = channel.poll_command() {
+            self.file_prefetch(id, result);
+        }
+    }
+
+    /// Moves a finished prefetch's line into the prefetch buffer; a
+    /// failed prefetch is simply dropped.
+    fn file_prefetch(&mut self, id: CmdId, result: Result<Completion, DmiError>) {
+        if let (
+            Some(addr),
+            Ok(Completion {
+                data: Some(line), ..
+            }),
+        ) = (self.in_flight.remove(&id), result)
+        {
+            self.buffer.insert(addr, line);
         }
     }
 
@@ -100,14 +111,10 @@ impl StreamingLoader {
                 self.next_prefetch = target.wrapping_add_signed(self.stride);
                 continue;
             }
-            match channel.submit(CommandOp::Read { addr: target }) {
-                Ok(tag) => {
-                    self.stats.prefetches_issued += 1;
-                    self.in_flight.insert(tag, target);
-                    self.next_prefetch = target.wrapping_add_signed(self.stride);
-                }
-                Err(_) => break, // demand traffic owns the remaining tags
-            }
+            let id = channel.enqueue_command(CommandOp::Read { addr: target });
+            self.stats.prefetches_issued += 1;
+            self.in_flight.insert(id, target);
+            self.next_prefetch = target.wrapping_add_signed(self.stride);
         }
     }
 
@@ -116,7 +123,7 @@ impl StreamingLoader {
     ///
     /// # Panics
     ///
-    /// Panics if the channel hangs.
+    /// Panics if the channel hangs or the demand load fails.
     pub fn load(&mut self, channel: &mut DmiChannel, addr: u64) -> (CacheLine, SimTime) {
         self.stats.demand_loads += 1;
         // Train the detector.
@@ -140,22 +147,16 @@ impl StreamingLoader {
         } else {
             // Demand miss: fetch through the channel. Prefetch
             // completions arriving meanwhile are captured afterwards.
-            let tag = channel
-                .submit(CommandOp::Read { addr })
-                .expect("degree leaves demand tags");
+            let demand = channel.enqueue_command(CommandOp::Read { addr });
             let deadline = channel.now() + SimTime::from_ms(10);
-            let mut demand_line = None;
-            while demand_line.is_none() {
-                let c = channel.next_completion(deadline).expect("demand load hung");
-                if c.tag == tag {
-                    demand_line = c.data;
-                } else if let Some(pf_addr) = self.in_flight.remove(&c.tag) {
-                    if let Some(l) = c.data {
-                        self.buffer.insert(pf_addr, l);
-                    }
+            loop {
+                let (id, result) = channel.next_completion(deadline).expect("demand load hung");
+                if id == demand {
+                    let c = result.expect("demand load failed");
+                    break c.data.expect("reads return data");
                 }
+                self.file_prefetch(id, result);
             }
-            demand_line.expect("reads return data")
         };
         self.pump_prefetches(channel);
         (line, channel.now() - start)

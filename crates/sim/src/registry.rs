@@ -25,23 +25,14 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::snapshot::{Persist, RestoreError, SnapReader};
-use crate::stats::{Counter, Histogram, LatencyStats, LogHistogram, QuantileOutcome};
+use crate::stats::{Counter, LatencyStats, LogHistogram};
 
 /// One registered metric.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Metric {
     Counter(Counter),
     Latency(LatencyStats),
-    Histogram(Histogram),
     LogHistogram(LogHistogram),
-}
-
-fn fmt_outcome(outcome: QuantileOutcome) -> String {
-    match outcome {
-        QuantileOutcome::Empty => "-".into(),
-        QuantileOutcome::Value(v) => v.to_string(),
-        QuantileOutcome::Overflow => "overflow".into(),
-    }
 }
 
 impl fmt::Display for Metric {
@@ -49,14 +40,6 @@ impl fmt::Display for Metric {
         match self {
             Metric::Counter(c) => write!(f, "{c}"),
             Metric::Latency(l) => write!(f, "{l}"),
-            Metric::Histogram(h) => write!(
-                f,
-                "histogram n={} overflow={} p50={} p99={}",
-                h.count(),
-                h.overflow(),
-                fmt_outcome(h.quantile_outcome(0.5)),
-                fmt_outcome(h.quantile_outcome(0.99)),
-            ),
             Metric::LogHistogram(h) => write!(f, "loghist {h}"),
         }
     }
@@ -131,12 +114,6 @@ impl MetricsRegistry {
             .insert(name.to_owned(), Metric::Latency(stats.clone()));
     }
 
-    /// Publishes a copy of an existing histogram under `name`.
-    pub fn set_histogram(&mut self, name: &str, histogram: &Histogram) {
-        self.metrics
-            .insert(name.to_owned(), Metric::Histogram(histogram.clone()));
-    }
-
     /// Publishes a copy of an existing log-bucketed histogram under
     /// `name`.
     pub fn set_log_histogram(&mut self, name: &str, histogram: &LogHistogram) {
@@ -178,8 +155,8 @@ impl MetricsRegistry {
 
     /// Merges another registry into this one: counters, latency
     /// collectors and log-histograms (of matching precision)
-    /// accumulate; linear histograms and kind conflicts are replaced
-    /// by `other`'s entry.
+    /// accumulate; precision and kind conflicts are replaced by
+    /// `other`'s entry.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, metric) in other.iter() {
             match (self.metrics.get_mut(name), metric) {
@@ -220,10 +197,8 @@ impl Persist for Metric {
                 out.push(1);
                 l.persist(out);
             }
-            Metric::Histogram(h) => {
-                out.push(2);
-                h.persist(out);
-            }
+            // Tag 2 belonged to a retired fixed-edge histogram and
+            // is never reused, so it restores as malformed.
             Metric::LogHistogram(h) => {
                 out.push(3);
                 h.persist(out);
@@ -234,7 +209,6 @@ impl Persist for Metric {
         Ok(match r.u8()? {
             0 => Metric::Counter(Counter::restore(r)?),
             1 => Metric::Latency(LatencyStats::restore(r)?),
-            2 => Metric::Histogram(Histogram::restore(r)?),
             3 => Metric::LogHistogram(LogHistogram::restore(r)?),
             _ => {
                 return Err(RestoreError::Malformed {
@@ -276,9 +250,9 @@ mod tests {
     fn latency_and_histogram_publish() {
         let mut reg = MetricsRegistry::new();
         reg.latency_mut("lat").record(SimTime::from_ns(10));
-        let mut h = Histogram::new(10, 4);
+        let mut h = LogHistogram::new();
         h.record(5);
-        reg.set_histogram("hist", &h);
+        reg.set_log_histogram("hist", &h);
         assert_eq!(reg.len(), 2);
         match reg.get("lat").unwrap() {
             Metric::Latency(l) => assert_eq!(l.count(), 1),
@@ -344,15 +318,25 @@ mod tests {
     }
 
     #[test]
-    fn histogram_render_shows_overflow_tail() {
+    fn restore_round_trips_and_rejects_unknown_kinds() {
         let mut reg = MetricsRegistry::new();
-        let mut h = Histogram::new(1, 4);
-        h.record(1);
-        h.record(1000);
-        reg.set_histogram("hist", &h);
-        // The tail landed past the last bucket: rendered as such, not
-        // masked as missing data.
-        assert!(reg.render().contains("p99=overflow"), "{}", reg.render());
+        reg.set_counter("c", 3);
+        reg.latency_mut("l").record(SimTime::from_ns(10));
+        let mut h = LogHistogram::new();
+        h.record(7);
+        reg.set_log_histogram("h", &h);
+        let mut out = Vec::new();
+        reg.persist(&mut out);
+        let mut r = SnapReader::new(&out);
+        assert_eq!(MetricsRegistry::restore(&mut r).unwrap(), reg);
+        for tag in [2u8, 4, 0xFF] {
+            let bytes = [tag];
+            let mut r = SnapReader::new(&bytes);
+            assert!(
+                matches!(Metric::restore(&mut r), Err(RestoreError::Malformed { .. })),
+                "metric tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -32,8 +32,9 @@ use crate::time::{Cycles, Frequency, SimTime};
 
 /// Leading bytes of every snapshot image.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CTSS";
-/// Current image format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Current image format version. Images of any other version are
+/// refused at the header, before any section is parsed.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 const HEADER_LEN: usize = 4 + 2 + 4 + 4; // magic + version + count + crc
 
@@ -782,12 +783,19 @@ mod tests {
 
     #[test]
     fn version_mismatch_detected() {
-        let mut image = sample_image();
-        image[4] = SNAPSHOT_VERSION as u8 + 1;
-        assert!(matches!(
-            SnapshotImage::parse(&image).unwrap_err(),
-            RestoreError::VersionMismatch { .. }
-        ));
+        // A newer image, and an image in the previous format: both are
+        // refused at the header, before any section is parsed.
+        for version in [SNAPSHOT_VERSION + 1, SNAPSHOT_VERSION - 1] {
+            let mut image = sample_image();
+            image[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                SnapshotImage::parse(&image).unwrap_err(),
+                RestoreError::VersionMismatch {
+                    found: version,
+                    expected: SNAPSHOT_VERSION,
+                }
+            );
+        }
     }
 
     #[test]

@@ -16,10 +16,10 @@
 
 use std::collections::HashMap;
 
-use contutto_dmi::command::{CacheLine, CommandOp, Tag};
+use contutto_dmi::command::{CacheLine, CommandOp};
 use contutto_sim::SimTime;
 
-use contutto_power8::channel::DmiChannel;
+use contutto_power8::channel::{CmdId, DmiChannel};
 
 /// The pmem driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,28 +46,26 @@ impl PmemDriver {
     /// # Panics
     ///
     /// Panics if `addr` is not 128-byte aligned, `buf` is not a
-    /// multiple of 128 bytes, or the channel hangs.
+    /// multiple of 128 bytes, or the channel hangs or fails a read.
     pub fn read(&self, channel: &mut DmiChannel, addr: u64, buf: &mut [u8]) -> SimTime {
         assert_eq!(addr % 128, 0, "pmem reads are line aligned");
         assert_eq!(buf.len() % 128, 0, "pmem reads whole lines");
         let lines = buf.len() / 128;
-        let mut tag_to_line: HashMap<Tag, usize> = HashMap::new();
+        let mut cmd_to_line: HashMap<CmdId, usize> = HashMap::new();
         let mut next = 0usize;
         let mut completed = 0usize;
         let deadline = channel.now() + SimTime::from_ms(100);
         while completed < lines {
-            while next < lines && tag_to_line.len() < self.mlp {
-                let tag = channel
-                    .submit(CommandOp::Read {
-                        addr: addr + next as u64 * 128,
-                    })
-                    .expect("mlp window is far below 32 tags");
-                tag_to_line.insert(tag, next);
+            while next < lines && cmd_to_line.len() < self.mlp {
+                let id = channel.enqueue_command(CommandOp::Read {
+                    addr: addr + next as u64 * 128,
+                });
+                cmd_to_line.insert(id, next);
                 next += 1;
             }
-            let c = channel.next_completion(deadline).expect("pmem read hung");
-            let line_idx = tag_to_line.remove(&c.tag).expect("our tag");
-            let data = c.data.expect("read data");
+            let (id, result) = channel.next_completion(deadline).expect("pmem read hung");
+            let line_idx = cmd_to_line.remove(&id).expect("our command");
+            let data = result.expect("pmem read failed").data.expect("read data");
             buf[line_idx * 128..(line_idx + 1) * 128].copy_from_slice(&data.0);
             completed += 1;
         }
@@ -80,17 +78,18 @@ impl PmemDriver {
     ///
     /// # Panics
     ///
-    /// Panics on misalignment or a hung channel.
+    /// Panics on misalignment or a hung or failing channel.
     pub fn write_persistent(&self, channel: &mut DmiChannel, addr: u64, data: &[u8]) -> SimTime {
         let done = self.write_posted(channel, addr, data);
         // The flush command drains everything outstanding.
-        let tag = channel
-            .submit(CommandOp::Flush)
-            .expect("a tag is free after draining writes");
+        let flush = channel.enqueue_command(CommandOp::Flush);
         let deadline = channel.now() + SimTime::from_ms(100);
         loop {
             match channel.next_completion(deadline) {
-                Some(c) if c.tag == tag => break,
+                Some((id, result)) if id == flush => {
+                    result.expect("flush failed");
+                    break;
+                }
                 Some(_) => {}
                 None => panic!("flush hung"),
             }
@@ -102,7 +101,7 @@ impl PmemDriver {
     ///
     /// # Panics
     ///
-    /// Panics on misalignment or a hung channel.
+    /// Panics on misalignment or a hung or failing channel.
     pub fn write_posted(&self, channel: &mut DmiChannel, addr: u64, data: &[u8]) -> SimTime {
         assert_eq!(addr % 128, 0, "pmem writes are line aligned");
         assert_eq!(data.len() % 128, 0, "pmem writes whole lines");
@@ -115,16 +114,15 @@ impl PmemDriver {
             while next < lines && outstanding < self.mlp.max(8) {
                 let mut line = CacheLine::ZERO;
                 line.0.copy_from_slice(&data[next * 128..(next + 1) * 128]);
-                channel
-                    .submit(CommandOp::Write {
-                        addr: addr + next as u64 * 128,
-                        data: line,
-                    })
-                    .expect("window below tag count");
+                channel.enqueue_command(CommandOp::Write {
+                    addr: addr + next as u64 * 128,
+                    data: line,
+                });
                 outstanding += 1;
                 next += 1;
             }
-            channel.next_completion(deadline).expect("pmem write hung");
+            let (_, result) = channel.next_completion(deadline).expect("pmem write hung");
+            result.expect("pmem write failed");
             outstanding -= 1;
             completed += 1;
         }

@@ -52,13 +52,8 @@ fn main() {
     // (The channel assigns its own tag; reuse the op.)
     let op = cmd.op;
     let t0 = ch.now();
-    let tag = ch.submit(op).expect("submit min-store");
-    let deadline = ch.now() + SimTime::from_ms(1);
-    while let Some(c) = ch.next_completion(deadline) {
-        if c.tag == tag {
-            break;
-        }
-    }
+    let id = ch.enqueue_command(op);
+    ch.wait_for_command(id).expect("min-store");
     println!(
         "min-store completed in {:.0} ns (one command round trip)",
         (ch.now() - t0).as_ns_f64()

@@ -32,24 +32,24 @@ fn fast_policy() -> RetryPolicy {
 
 #[test]
 fn blocking_read_preserves_other_tags_completions() {
-    // Submit A, then block on B via read_line_blocking. A's completion
-    // must survive in the queue — delivered exactly once, with data.
+    // Enqueue A, then block on B via read_line_blocking. A's result
+    // must survive the wait — delivered exactly once, with data.
     let mut ch = clean_contutto();
     let line_a = CacheLine::patterned(77);
     ch.write_line_blocking(0, line_a).expect("write A");
     let line_b = CacheLine::patterned(88);
     ch.write_line_blocking(128, line_b).expect("write B");
 
-    let tag_a = ch.submit(CommandOp::Read { addr: 0 }).expect("submit A");
+    let id_a = ch.enqueue_command(CommandOp::Read { addr: 0 });
     let (got_b, _) = ch.read_line_blocking(128).expect("read B");
     assert_eq!(got_b, line_b);
 
     // A completed while we waited on B (same memory, same latency) —
-    // it must still be queued, exactly once.
-    let drained = ch.take_completions();
-    let a_completions: Vec<_> = drained.iter().filter(|c| c.tag == tag_a).collect();
-    assert_eq!(a_completions.len(), 1, "A delivered exactly once");
-    assert_eq!(a_completions[0].data, Some(line_a), "A's data intact");
+    // its result must still be waiting, exactly once.
+    let (id, result) = ch.poll_command().expect("A's result survived");
+    assert_eq!(id, id_a);
+    assert_eq!(result.expect("A ok").data, Some(line_a), "A's data intact");
+    assert!(ch.poll_command().is_none(), "A delivered exactly once");
     assert_eq!(ch.tags_available(), 32);
 }
 
@@ -63,13 +63,13 @@ fn interleaved_blocking_reads_both_correct() {
     ch.write_line_blocking(0, line0).expect("write 0");
     ch.write_line_blocking(128, line1).expect("write 1");
 
-    let tag0 = ch.submit(CommandOp::Read { addr: 0 }).expect("submit 0");
+    let id0 = ch.enqueue_command(CommandOp::Read { addr: 0 });
     let (got1, _) = ch.read_line_blocking(128).expect("read 1");
     assert_eq!(got1, line1);
     let deadline = ch.now() + SimTime::from_ms(1);
-    let c0 = ch.next_completion(deadline).expect("0 completes");
-    assert_eq!(c0.tag, tag0);
-    assert_eq!(c0.data, Some(line0));
+    let (id, c0) = ch.next_completion(deadline).expect("0 completes");
+    assert_eq!(id, id0);
+    assert_eq!(c0.expect("read 0").data, Some(line0));
 }
 
 // ---------------------------------------------------------- satellite 2
@@ -81,20 +81,20 @@ fn next_completion_deadline_is_inclusive() {
     // exactly that instant: the completion must still be delivered.
     let exact = {
         let mut ch = clean_contutto();
-        ch.submit(CommandOp::Read { addr: 0 }).expect("submit");
-        let c = ch.next_completion(SimTime::from_ms(1)).expect("completes");
-        c.completed_at
+        ch.enqueue_command(CommandOp::Read { addr: 0 });
+        let (_, c) = ch.next_completion(SimTime::from_ms(1)).expect("completes");
+        c.expect("read ok").completed_at
     };
     let mut ch = clean_contutto();
-    ch.submit(CommandOp::Read { addr: 0 }).expect("submit");
+    let id = ch.enqueue_command(CommandOp::Read { addr: 0 });
     let c = ch.next_completion(exact);
     assert!(
-        c.is_some(),
+        c.is_some_and(|(done, _)| done == id),
         "completion arriving exactly at the deadline is delivered"
     );
     // One slot earlier must miss it.
     let mut ch = clean_contutto();
-    ch.submit(CommandOp::Read { addr: 0 }).expect("submit");
+    ch.enqueue_command(CommandOp::Read { addr: 0 });
     assert!(ch.next_completion(exact - SimTime::from_ns(2)).is_none());
 }
 

@@ -3,7 +3,7 @@
 
 use contutto_system::centaur::{Centaur, CentaurConfig};
 use contutto_system::contutto::{ConTutto, ContuttoConfig, MemoryPopulation};
-use contutto_system::dmi::{BitErrorInjector, CacheLine, DmiError};
+use contutto_system::dmi::{BitErrorInjector, CacheLine};
 use contutto_system::power8::channel::{ChannelConfig, DmiChannel};
 
 fn noisy_contutto(down_p: f64, up_p: f64, seed: u64) -> DmiChannel {
@@ -89,15 +89,25 @@ fn determinism_same_seed_same_trace() {
 #[test]
 fn tag_exhaustion_reports_not_hangs() {
     let mut ch = noisy_contutto(0.0, 0.0, 1);
-    let mut acquired = 0;
-    loop {
-        match ch.submit(contutto_system::dmi::CommandOp::Read { addr: 0 }) {
-            Ok(_) => acquired += 1,
-            Err(DmiError::NoFreeTag) => break,
-            Err(e) => panic!("unexpected error {e}"),
-        }
+    for _ in 0..40 {
+        ch.enqueue_command(contutto_system::dmi::CommandOp::Read { addr: 0 });
     }
-    assert_eq!(acquired, 32, "exactly the paper's 32 tags");
+    ch.step();
+    assert_eq!(ch.tracked_in_flight(), 32, "exactly the paper's 32 tags");
+    assert_eq!(ch.tags_available(), 0);
+    assert_eq!(ch.queued_commands(), 8, "the rest wait, not fail");
+    let deadline = ch.now() + contutto_system::sim::SimTime::from_ms(1);
+    while ch.has_command_work() {
+        assert!(ch.now() <= deadline, "tag exhaustion hung");
+        ch.step();
+        assert!(ch.tracked_in_flight() <= 32);
+    }
+    let mut finished = 0;
+    while let Some((_, result)) = ch.poll_command() {
+        result.expect("read completes");
+        finished += 1;
+    }
+    assert_eq!(finished, 40);
 }
 
 #[test]
@@ -131,18 +141,18 @@ fn randomized_ops_against_reference_model() {
         }
     }
     // Interleaved window: fire 16 reads at once over written lines and
-    // match them back by tag.
-    let mut expected_by_tag = HashMap::new();
+    // match them back by command id.
+    let mut expected_by_id = HashMap::new();
     let addrs: Vec<u64> = reference.keys().copied().take(16).collect();
     for addr in &addrs {
-        let tag = ch.submit(CommandOp::Read { addr: *addr }).expect("submit");
-        expected_by_tag.insert(tag, reference[addr]);
+        let id = ch.enqueue_command(CommandOp::Read { addr: *addr });
+        expected_by_id.insert(id, reference[addr]);
     }
     let deadline = ch.now() + contutto_system::sim::SimTime::from_ms(10);
     for _ in 0..addrs.len() {
-        let c = ch.next_completion(deadline).expect("completion");
-        let want = expected_by_tag.remove(&c.tag).expect("our tag");
-        assert_eq!(c.data.expect("read data"), want);
+        let (id, result) = ch.next_completion(deadline).expect("completion");
+        let want = expected_by_id.remove(&id).expect("our command");
+        assert_eq!(result.expect("read").data.expect("read data"), want);
     }
 }
 
