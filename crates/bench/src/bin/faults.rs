@@ -15,15 +15,15 @@
 //!   every plan executed twice and held to the global durability
 //!   oracle; failing plans are shrunk to minimal JSON reproducers
 //!   (`CHAOS_repro_*.json`) replayable with `--replay FILE`, and
-//!   `BENCH_chaos.json` is written with a ≥0.8× plans/sec gate;
+//!   `BENCH_chaos.json` gates plans/sec (a host metric);
 //! * `--traffic` — run the SLO-under-fault traffic campaign: an
 //!   open-loop zipfian request stream over the failover testbed while
 //!   {nothing, a scrub storm, a channel failover, an EPOW + reboot}
 //!   fires mid-run; steady-phase vs fault-phase tail percentiles and
 //!   SLO-violation counts are reported, every run is executed twice
 //!   and must be byte-identical (fingerprint + histogram identity),
-//!   and `BENCH_traffic.json` is written with a ≥0.8× requests/sec
-//!   regression gate against any prior baseline;
+//!   and `BENCH_traffic.json` gates requests/sec, p99.9 and SLO
+//!   violations per scenario (model metrics);
 //! * `--overload` — run the metastable-failure campaign: the same
 //!   open-loop stream over the *mirrored* testbed while a slow-channel
 //!   plus link-noise trigger holds for a bounded window mid-run; the
@@ -31,8 +31,8 @@
 //!   the trigger clears, the protected row (deadlines, admission
 //!   control, retry budget, breakers, hedged reads, brownout) must
 //!   recover to within 2× of steady p99 with zero duplicate
-//!   completions; `BENCH_overload.json` is written with a ≥0.8×
-//!   requests/sec regression gate;
+//!   completions; `BENCH_overload.json` gates requests/sec, recovery
+//!   ratio, sheds and hedges per scenario (model metrics);
 //! * `--media`   — run the media-fault campaign (seeded bit flips in
 //!   the DIMM arrays across {DRAM, MRAM, NVDIMM} × {scrub on/off})
 //!   instead of the link-fault campaign;
@@ -51,17 +51,26 @@
 //! * `--checkpoint` — run the checkpoint campaign: snapshot/restore
 //!   throughput plus a prefix-reuse identity proof (the reused power
 //!   sweep must match the straight sweep record-for-record while
-//!   simulating strictly fewer stores); writes `BENCH_checkpoint.json`
-//!   with ≥0.8× snapshots/sec and restores/sec regression gates;
+//!   simulating strictly fewer stores); `BENCH_checkpoint.json` gates
+//!   snapshots/sec and restores/sec (host metrics) and both sweeps'
+//!   store counts (model metrics);
 //! * `--smoke`   — the quick `scripts/verify.sh` gate;
 //! * `--seeds N` — sweep seeds 1..=N (default: the full 5-seed sweep);
 //! * `--lines N` — lines written/read back per run;
 //! * `--metrics` — also print the merged metrics registry.
 //!
+//! Every `BENCH_*.json` is a [`contutto_bench::report::BenchReport`]:
+//! model metrics must equal the previous report exactly, host metrics
+//! must stay at or above [`contutto_bench::report::HOST_FLOOR`] × it,
+//! and only a previous report with the same config key gates. A failed
+//! run leaves the previous report in place.
+//!
 //! Exits nonzero if any run panics, corrupts data, or fails where the
 //! scenario does not permit a typed failure — and, for `--media`, if
-//! disabling scrub does not raise the uncorrectable aggregate.
+//! disabling scrub does not raise the uncorrectable aggregate — or if
+//! a bench report regresses or cannot be written.
 
+use contutto_bench::report::gate_and_write;
 use contutto_bench::{chaos, checkpoint, failover, faults, media, overload, power, traffic};
 
 fn main() {
@@ -143,18 +152,11 @@ fn main() {
                 repro += 1;
             }
         }
-        let baseline = std::fs::read_to_string("BENCH_chaos.json").ok();
-        let violations = report.violations(baseline.as_deref());
-        for v in &violations {
-            eprintln!("violation: {v}");
-        }
-        if let Err(e) = std::fs::write("BENCH_chaos.json", report.to_json()) {
-            eprintln!("warning: could not write BENCH_chaos.json: {e}");
-        } else {
-            println!("wrote BENCH_chaos.json");
-        }
-        if !violations.is_empty() {
-            eprintln!("chaos campaign FAILED: see violations above");
+        if !gate_and_write(
+            "BENCH_chaos.json",
+            &report.bench_report(),
+            report.violations(),
+        ) {
             std::process::exit(1);
         }
         return;
@@ -178,19 +180,11 @@ fn main() {
             println!("\nmerged metrics across all runs:");
             print!("{}", report.merged_metrics().render());
         }
-        let baseline = std::fs::read_to_string("BENCH_traffic.json").ok();
-        let violations = report.violations(baseline.as_deref());
-        for v in &violations {
-            eprintln!("violation: {v}");
-        }
-        let json = report.to_json();
-        if let Err(e) = std::fs::write("BENCH_traffic.json", &json) {
-            eprintln!("warning: could not write BENCH_traffic.json: {e}");
-        } else {
-            println!("wrote BENCH_traffic.json");
-        }
-        if !violations.is_empty() {
-            eprintln!("traffic campaign FAILED: see violations above");
+        if !gate_and_write(
+            "BENCH_traffic.json",
+            &report.bench_report(),
+            report.violations(),
+        ) {
             std::process::exit(1);
         }
         return;
@@ -214,19 +208,11 @@ fn main() {
             println!("\nmerged metrics across all runs:");
             print!("{}", report.merged_metrics().render());
         }
-        let baseline = std::fs::read_to_string("BENCH_overload.json").ok();
-        let violations = report.violations(baseline.as_deref());
-        for v in &violations {
-            eprintln!("violation: {v}");
-        }
-        let json = report.to_json();
-        if let Err(e) = std::fs::write("BENCH_overload.json", &json) {
-            eprintln!("warning: could not write BENCH_overload.json: {e}");
-        } else {
-            println!("wrote BENCH_overload.json");
-        }
-        if !violations.is_empty() {
-            eprintln!("overload campaign FAILED: see violations above");
+        if !gate_and_write(
+            "BENCH_overload.json",
+            &report.bench_report(),
+            report.violations(),
+        ) {
             std::process::exit(1);
         }
         return;
@@ -246,19 +232,11 @@ fn main() {
         }
         let report = checkpoint::run_campaign(&cfg);
         print!("{}", report.render_table());
-        let baseline = std::fs::read_to_string("BENCH_checkpoint.json").ok();
-        let violations = report.violations(baseline.as_deref());
-        for v in &violations {
-            eprintln!("violation: {v}");
-        }
-        let json = report.to_json();
-        if let Err(e) = std::fs::write("BENCH_checkpoint.json", &json) {
-            eprintln!("warning: could not write BENCH_checkpoint.json: {e}");
-        } else {
-            println!("wrote BENCH_checkpoint.json");
-        }
-        if !violations.is_empty() {
-            eprintln!("checkpoint campaign FAILED: see violations above");
+        if !gate_and_write(
+            "BENCH_checkpoint.json",
+            &report.bench_report(),
+            report.violations(),
+        ) {
             std::process::exit(1);
         }
         return;

@@ -13,12 +13,14 @@
 //!
 //! Each window depth runs twice and must replay to byte-identical
 //! trace fingerprints. Exits nonzero if determinism breaks, if
-//! depth-16 throughput is not at least 4x depth-1, or if any depth's
-//! simulated throughput regressed more than 20 % against the previous
-//! report at `--out` (the old file, when present, is the baseline and
-//! is only overwritten after the comparison).
+//! depth-16 throughput is not at least 4x depth-1, if any model metric
+//! (lines/sec, achieved MLP, simulated seconds, speedup) differs from
+//! the previous report at `--out` for the same config, or if the
+//! report cannot be written. A failed run leaves the old report in
+//! place (see [`contutto_bench::report`]).
 
 use contutto_bench::pipeline::{run_sweep, PipelineConfig};
+use contutto_bench::report::gate_and_write;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,20 +42,9 @@ fn main() {
     }
     let out = value("--out").unwrap_or_else(|| "BENCH_pipeline.json".into());
 
-    let baseline = std::fs::read_to_string(&out).ok();
-    let report = run_sweep(&cfg);
-    print!("{}", report.render_table());
-
-    let violations = report.violations(baseline.as_deref());
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out}");
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("pipeline gate FAILED: {v}");
-        }
+    let sweep = run_sweep(&cfg);
+    print!("{}", sweep.render_table());
+    if !gate_and_write(&out, &sweep.bench_report(), sweep.violations()) {
         std::process::exit(1);
     }
 }

@@ -57,6 +57,7 @@ use contutto_workloads::chaos_load::{
 
 use crate::failover::{SPARE_SLOT, VICTIM_SLOT};
 use crate::faults::campaign_policy;
+use crate::report::{BenchReport, Kind};
 
 /// Keys the chaos load spreads across the memory map.
 const LOAD_KEYS: u64 = 64;
@@ -1249,16 +1250,15 @@ pub struct PlanRecord {
 pub struct CampaignReport {
     /// Every plan, seed-major.
     pub records: Vec<PlanRecord>,
-    /// Requests per plan (baseline key).
-    pub requests: u64,
+    /// The configuration that ran (the baseline key).
+    pub config: CampaignConfig,
     /// Plans executed per host-second (each plan runs twice).
     pub plans_per_sec: f64,
 }
 
 impl CampaignReport {
-    /// Contract breaches plus regression-gate failures against a
-    /// previous `BENCH_chaos.json`.
-    pub fn violations(&self, baseline_json: Option<&str>) -> Vec<String> {
+    /// Contract breaches: every oracle violation of every plan.
+    pub fn violations(&self) -> Vec<String> {
         let mut out = Vec::new();
         for r in &self.records {
             for v in &r.report.violations {
@@ -1270,17 +1270,14 @@ impl CampaignReport {
                 ));
             }
         }
-        if let Some(json) = baseline_json {
-            if let Some((old_requests, old_pps)) = parse_baseline(json) {
-                if old_requests == self.requests && self.plans_per_sec < 0.8 * old_pps {
-                    out.push(format!(
-                        "chaos: {:.2} plans/sec regressed >20% from baseline {:.2}",
-                        self.plans_per_sec, old_pps
-                    ));
-                }
-            }
-        }
         out
+    }
+
+    /// The gated number: plans/sec, a host metric.
+    pub fn bench_report(&self) -> BenchReport {
+        let mut report = BenchReport::new("chaos", &self.config);
+        report.push("plans_per_sec", self.plans_per_sec, Kind::Host);
+        report
     }
 
     /// Renders the per-plan table.
@@ -1331,38 +1328,6 @@ impl CampaignReport {
         );
         out
     }
-
-    /// Serializes the campaign aggregate (hand-rolled JSON).
-    pub fn to_json(&self) -> String {
-        let violations: usize = self.records.iter().map(|r| r.report.violations.len()).sum();
-        format!(
-            "{{\n  \"benchmark\": \"chaos\",\n  \"plans\": {},\n  \
-             \"requests_per_plan\": {},\n  \"plans_per_sec\": {:.3},\n  \
-             \"violations\": {}\n}}\n",
-            self.records.len(),
-            self.requests,
-            self.plans_per_sec,
-            violations,
-        )
-    }
-}
-
-/// Extracts `(requests_per_plan, plans_per_sec)` from a previous
-/// `BENCH_chaos.json`. Tolerant: unparseable input yields no gate.
-fn parse_baseline(json: &str) -> Option<(u64, f64)> {
-    let num = |key: &str| -> Option<f64> {
-        let rest = json.split(key).nth(1)?;
-        let text: String = rest
-            .trim_start_matches([':', ' '])
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        text.parse().ok()
-    };
-    Some((
-        num("\"requests_per_plan\"")? as u64,
-        num("\"plans_per_sec\"")?,
-    ))
 }
 
 /// Runs the campaign: per seed, `plans_per_seed` generated plans with
@@ -1400,7 +1365,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let plans = records.len() as f64;
     CampaignReport {
         records,
-        requests: cfg.requests,
+        config: cfg.clone(),
         plans_per_sec: if elapsed > 0.0 { plans / elapsed } else { 0.0 },
     }
 }
@@ -1720,10 +1685,16 @@ mod tests {
     #[test]
     fn smoke_campaign_is_clean() {
         let report = run_campaign(&CampaignConfig::smoke());
-        let violations = report.violations(None);
+        let violations = report.violations();
         assert!(violations.is_empty(), "{violations:?}");
         assert!(report.plans_per_sec > 0.0);
-        // Fresh report never regresses against itself.
-        assert!(report.violations(Some(&report.to_json())).is_empty());
+        let bench = report.bench_report();
+        assert_eq!(bench.key, format!("{:?}", CampaignConfig::smoke()));
+        let plans = (
+            "plans_per_sec".to_string(),
+            report.plans_per_sec,
+            Kind::Host,
+        );
+        assert_eq!(bench.metrics, [plans]);
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! 1. **Throughput** — a steady-state testbed (stores landed, loads
 //!    in flight, tracer live) is snapshotted and restored in a tight
-//!    loop; `BENCH_checkpoint.json` records snapshots/sec and
-//!    restores/sec behind the standard ≥0.8× regression gate. The
-//!    image size is byte-deterministic, so it doubles as the
+//!    loop; snapshots/sec and restores/sec are host metrics in the
+//!    campaign's [`crate::report::BenchReport`]. The image size is
+//!    byte-deterministic, so it joins the config in the
 //!    baseline-comparability key.
 //!
 //! 2. **Prefix reuse** — the power crash-point sweep is run twice,
@@ -16,9 +16,9 @@
 //!    *record-for-record* (outcome, fingerprint, determinism verdict,
 //!    rendered table) while simulating strictly fewer stores — the
 //!    structural proof that the prefix really was skipped, not
-//!    re-simulated. Wall-clock for both sweeps is recorded so the
-//!    saving is visible, but only identity is gated: host timing is
-//!    noise, simulated work is not.
+//!    re-simulated. Both store counts are model metrics. Wall-clock for
+//!    both sweeps is shown in the table so the saving is visible, but
+//!    not gated: one-shot host timing is noise, simulated work is not.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -29,6 +29,7 @@ use contutto_power8::firmware::layouts;
 use contutto_power8::system::Power8System;
 
 use crate::power;
+use crate::report::{BenchReport, Kind};
 
 /// Campaign knobs.
 #[derive(Debug, Clone)]
@@ -68,6 +69,8 @@ impl CampaignConfig {
 /// What the campaign measured and proved.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
+    /// The configuration that ran (reps and stride as clamped).
+    pub config: CampaignConfig,
     /// Whole-system snapshots taken per host-second.
     pub snapshots_per_sec: f64,
     /// Restores (into an already-booted twin) per host-second.
@@ -97,9 +100,9 @@ impl CampaignReport {
         }
     }
 
-    /// Contract breaches plus regression-gate failures against a
-    /// previous `BENCH_checkpoint.json`.
-    pub fn violations(&self, baseline_json: Option<&str>) -> Vec<String> {
+    /// Contract breaches: identity failures and a prefix that was not
+    /// skipped.
+    pub fn violations(&self) -> Vec<String> {
         let mut out = self.failures.clone();
         if self.stores_reused >= self.stores_straight {
             out.push(format!(
@@ -108,29 +111,21 @@ impl CampaignReport {
                 self.stores_reused, self.stores_straight
             ));
         }
-        if let Some(json) = baseline_json {
-            if let Some(b) = parse_baseline(json) {
-                // Only gate against a baseline of the same image — a
-                // format or testbed change resets the comparison.
-                if b.snapshot_bytes == self.snapshot_bytes {
-                    if self.snapshots_per_sec < 0.8 * b.snapshots_per_sec {
-                        out.push(format!(
-                            "checkpoint: {:.1} snapshots/sec regressed >20% from \
-                             baseline {:.1}",
-                            self.snapshots_per_sec, b.snapshots_per_sec
-                        ));
-                    }
-                    if self.restores_per_sec < 0.8 * b.restores_per_sec {
-                        out.push(format!(
-                            "checkpoint: {:.1} restores/sec regressed >20% from \
-                             baseline {:.1}",
-                            self.restores_per_sec, b.restores_per_sec
-                        ));
-                    }
-                }
-            }
-        }
         out
+    }
+
+    /// The gated numbers: snapshot and restore throughput are host
+    /// metrics, the two store counts model metrics. The image size
+    /// joins the key — a format or testbed change resets the
+    /// comparison.
+    pub fn bench_report(&self) -> BenchReport {
+        let key = (&self.config, self.snapshot_bytes);
+        let mut report = BenchReport::new("checkpoint", key);
+        report.push("snapshots_per_sec", self.snapshots_per_sec, Kind::Host);
+        report.push("restores_per_sec", self.restores_per_sec, Kind::Host);
+        report.push("stores_straight", self.stores_straight as f64, Kind::Model);
+        report.push("stores_reused", self.stores_reused as f64, Kind::Model);
+        report
     }
 
     /// Renders the human summary.
@@ -175,56 +170,6 @@ impl CampaignReport {
         }
         out
     }
-
-    /// Serializes the campaign aggregate (hand-rolled JSON).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"checkpoint\",\n  \
-             \"snapshot_bytes\": {},\n  \
-             \"snapshots_per_sec\": {:.3},\n  \
-             \"restores_per_sec\": {:.3},\n  \
-             \"straight_secs\": {:.3},\n  \
-             \"reused_secs\": {:.3},\n  \
-             \"prefix_reuse_speedup\": {:.3},\n  \
-             \"stores_straight\": {},\n  \
-             \"stores_reused\": {},\n  \
-             \"violations\": {}\n}}\n",
-            self.snapshot_bytes,
-            self.snapshots_per_sec,
-            self.restores_per_sec,
-            self.straight_secs,
-            self.reused_secs,
-            self.speedup(),
-            self.stores_straight,
-            self.stores_reused,
-            self.failures.len(),
-        )
-    }
-}
-
-/// Baseline numbers extracted from a previous `BENCH_checkpoint.json`.
-struct Baseline {
-    snapshot_bytes: u64,
-    snapshots_per_sec: f64,
-    restores_per_sec: f64,
-}
-
-/// Tolerant extractor: unparseable input yields no gate.
-fn parse_baseline(json: &str) -> Option<Baseline> {
-    let num = |key: &str| -> Option<f64> {
-        let rest = json.split(key).nth(1)?;
-        let text: String = rest
-            .trim_start_matches([':', ' '])
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        text.parse().ok()
-    };
-    Some(Baseline {
-        snapshot_bytes: num("\"snapshot_bytes\"")? as u64,
-        snapshots_per_sec: num("\"snapshots_per_sec\"")?,
-        restores_per_sec: num("\"restores_per_sec\"")?,
-    })
 }
 
 /// Boots the throughput testbed: steady state with stores landed,
@@ -343,6 +288,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     }
 
     CampaignReport {
+        config: CampaignConfig {
+            cut_stride: cfg.cut_stride.max(1),
+            reps,
+            ..cfg.clone()
+        },
         snapshots_per_sec,
         restores_per_sec,
         snapshot_bytes,
@@ -361,76 +311,33 @@ mod tests {
     #[test]
     fn smoke_campaign_is_clean_and_skips_the_prefix() {
         let report = run_campaign(&CampaignConfig::smoke());
-        let violations = report.violations(None);
+        let violations = report.violations();
         assert!(violations.is_empty(), "{}", violations.join("\n"));
         assert!(report.stores_reused < report.stores_straight);
         assert!(report.snapshots_per_sec > 0.0);
         assert!(report.restores_per_sec > 0.0);
         let table = report.render_table();
         assert!(table.contains("prefix-reuse speedup"), "{table}");
-    }
 
-    #[test]
-    fn regression_gate_fires_against_an_inflated_baseline() {
-        let report = CampaignReport {
-            snapshots_per_sec: 10.0,
-            restores_per_sec: 10.0,
-            snapshot_bytes: 1234,
-            straight_secs: 1.0,
-            reused_secs: 0.5,
-            stores_straight: 100,
-            stores_reused: 10,
-            failures: Vec::new(),
-        };
-        let baseline = "{\n  \"benchmark\": \"checkpoint\",\n  \
-                        \"snapshot_bytes\": 1234,\n  \
-                        \"snapshots_per_sec\": 100.0,\n  \
-                        \"restores_per_sec\": 100.0\n}";
-        let violations = report.violations(Some(baseline));
-        assert_eq!(violations.len(), 2, "{violations:?}");
-        assert!(violations[0].contains("snapshots/sec regressed"));
-        assert!(violations[1].contains("restores/sec regressed"));
-    }
-
-    #[test]
-    fn regression_gate_skips_baselines_of_a_different_image() {
-        let report = CampaignReport {
-            snapshots_per_sec: 10.0,
-            restores_per_sec: 10.0,
-            snapshot_bytes: 1234,
-            straight_secs: 1.0,
-            reused_secs: 0.5,
-            stores_straight: 100,
-            stores_reused: 10,
-            failures: Vec::new(),
-        };
-        let baseline = "{\n  \"snapshot_bytes\": 9999,\n  \
-                        \"snapshots_per_sec\": 100.0,\n  \
-                        \"restores_per_sec\": 100.0\n}";
-        assert!(report.violations(Some(baseline)).is_empty());
-    }
-
-    #[test]
-    fn json_round_trips_through_the_baseline_parser() {
-        let report = CampaignReport {
-            snapshots_per_sec: 123.456,
-            restores_per_sec: 78.9,
-            snapshot_bytes: 4096,
-            straight_secs: 2.0,
-            reused_secs: 1.0,
-            stores_straight: 100,
-            stores_reused: 10,
-            failures: Vec::new(),
-        };
-        let b = parse_baseline(&report.to_json()).expect("parses");
-        assert_eq!(b.snapshot_bytes, 4096);
-        assert!((b.snapshots_per_sec - 123.456).abs() < 1e-6);
-        assert!((b.restores_per_sec - 78.9).abs() < 1e-6);
+        let bench = report.bench_report();
+        let key = (CampaignConfig::smoke(), report.snapshot_bytes);
+        assert_eq!(bench.key, format!("{key:?}"));
+        let kinds: Vec<(&str, Kind)> = bench.metrics.iter().map(|m| (m.0.as_str(), m.2)).collect();
+        assert_eq!(
+            kinds,
+            [
+                ("snapshots_per_sec", Kind::Host),
+                ("restores_per_sec", Kind::Host),
+                ("stores_straight", Kind::Model),
+                ("stores_reused", Kind::Model),
+            ]
+        );
     }
 
     #[test]
     fn a_failed_structural_skip_is_a_violation() {
         let report = CampaignReport {
+            config: CampaignConfig::smoke(),
             snapshots_per_sec: 10.0,
             restores_per_sec: 10.0,
             snapshot_bytes: 1234,
@@ -440,7 +347,7 @@ mod tests {
             stores_reused: 100,
             failures: Vec::new(),
         };
-        let violations = report.violations(None);
+        let violations = report.violations();
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("prefix was not skipped"));
     }

@@ -44,6 +44,7 @@ use contutto_workloads::traffic::{
 
 use crate::failover::{SPARE_SLOT, VICTIM_SLOT};
 use crate::faults::campaign_policy;
+use crate::report::{BenchReport, Kind};
 
 /// How long the trigger holds: the victim channel's in-flight window is
 /// collapsed to one tag and its links are noisy for this long, then
@@ -200,11 +201,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Steady-phase p99 in picoseconds.
-    pub fn steady_p99(&self) -> u64 {
-        self.report.quantile(Phase::Steady, 0.99).as_ps()
-    }
-
     /// Recovery-phase p99 in picoseconds.
     pub fn recovery_p99(&self) -> u64 {
         self.report.quantile(Phase::Recovery, 0.99).as_ps()
@@ -264,9 +260,10 @@ impl RunReport {
 pub struct CampaignReport {
     /// Every run, scenario-major.
     pub runs: Vec<RunReport>,
-    /// Requests per run — part of the baseline key, so a smoke run
-    /// never gates against a full-campaign baseline.
-    pub requests: u64,
+    /// The configuration that ran (requests as clamped) — the baseline
+    /// key, so a smoke run never gates against a full-campaign
+    /// baseline.
+    pub config: CampaignConfig,
 }
 
 /// Drives one run: boots the mirrored testbed, arms the scenario's
@@ -402,7 +399,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     }
     CampaignReport {
         runs,
-        requests: cfg.requests.max(60),
+        config: CampaignConfig {
+            seeds: cfg.seeds.clone(),
+            requests: cfg.requests.max(60),
+        },
     }
 }
 
@@ -424,10 +424,9 @@ impl CampaignReport {
         }
     }
 
-    /// Runs that break the contract — structural per-run clauses, the
-    /// campaign-level metastability verdicts, and regression-gate
-    /// failures against a previous `BENCH_overload.json`.
-    pub fn violations(&self, baseline_json: Option<&str>) -> Vec<String> {
+    /// Runs that break the contract — structural per-run clauses and
+    /// the campaign-level metastability verdicts.
+    pub fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         for r in &self.runs {
             if let Some(reason) = r.violation_reason() {
@@ -462,20 +461,6 @@ impl CampaignReport {
                     ));
                 }
                 _ => {}
-            }
-        }
-        if let Some(json) = baseline_json {
-            for (name, old_requests, old_rps) in parse_baseline(json) {
-                if old_requests != self.requests {
-                    continue;
-                }
-                if let Some(rps) = self.scenario_rps(&name) {
-                    if rps < 0.8 * old_rps {
-                        v.push(format!(
-                            "{name}: {rps:.0} req/sec regressed >20% from baseline {old_rps:.0}"
-                        ));
-                    }
-                }
             }
         }
         v
@@ -577,20 +562,19 @@ impl CampaignReport {
             "\n{} runs, {} violations (p99 latencies in µs; r/s = recovery p99 : merged \
              steady p99 ({:.1} µs); retries = granted/denied)",
             self.runs.len(),
-            self.violations(None).len(),
+            self.violations().len(),
             steady_ref as f64 / 1_000_000.0,
         );
         out
     }
 
-    /// Serializes the per-scenario aggregate (hand-rolled JSON, no
-    /// external deps).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"benchmark\": \"overload\",\n  \"scenarios\": [\n");
-        let names: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
-        for (i, name) in names.iter().enumerate() {
-            let rps = self.scenario_rps(name).unwrap_or(0.0);
-            let ratio = self.worst_recovery_ratio(name);
+    /// The gated numbers per scenario, all simulated-time model
+    /// metrics: mean requests/sec over seeds, worst recovery ratio,
+    /// and what the defenses did (sheds, hedges).
+    pub fn bench_report(&self) -> BenchReport {
+        let mut report = BenchReport::new("overload", &self.config);
+        for scenario in Scenario::all() {
+            let name = scenario.name();
             let (shed, hedges): (u64, u64) = self
                 .scenario_runs(name)
                 .map(|r| {
@@ -600,47 +584,21 @@ impl CampaignReport {
                     )
                 })
                 .fold((0, 0), |(s, h), (a, b)| (s + a, h + b));
-            let _ = write!(
-                out,
-                "    {{\"scenario\": \"{}\", \"requests_per_run\": {}, \
-                 \"requests_per_sec\": {:.3}, \
-                 \"recovery_ratio\": {:.3}, \"shed\": {}, \"hedges\": {}}}",
-                name, self.requests, rps, ratio, shed, hedges,
+            report.push(
+                format!("{name}.requests_per_sec"),
+                self.scenario_rps(name).unwrap_or(0.0),
+                Kind::Model,
             );
-            out.push_str(if i + 1 < names.len() { ",\n" } else { "\n" });
+            report.push(
+                format!("{name}.recovery_ratio"),
+                self.worst_recovery_ratio(name),
+                Kind::Model,
+            );
+            report.push(format!("{name}.shed"), shed as f64, Kind::Model);
+            report.push(format!("{name}.hedges"), hedges as f64, Kind::Model);
         }
-        out.push_str("  ]\n}\n");
-        out
+        report
     }
-}
-
-/// Extracts `(scenario, requests_per_run, requests_per_sec)` triples
-/// from a previous report's JSON. Tolerant scanner; unparseable input
-/// yields no entries (no gate).
-fn parse_baseline(json: &str) -> Vec<(String, u64, f64)> {
-    let number_after = |chunk: &str, key: &str| -> Option<f64> {
-        let rest = chunk.split(key).nth(1)?;
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        num.parse().ok()
-    };
-    let mut entries = Vec::new();
-    for chunk in json.split("\"scenario\":").skip(1) {
-        let Some(name) = chunk.split('"').nth(1) else {
-            continue;
-        };
-        let Some(requests) = number_after(chunk, "\"requests_per_run\":") else {
-            continue;
-        };
-        let Some(rps) = number_after(chunk, "\"requests_per_sec\":") else {
-            continue;
-        };
-        entries.push((name.to_string(), requests as u64, rps));
-    }
-    entries
 }
 
 #[cfg(test)]
@@ -653,12 +611,20 @@ mod tests {
             seeds: vec![1],
             requests: 420,
         });
-        let violations = report.violations(None);
+        let violations = report.violations();
         assert!(
             violations.is_empty(),
             "{violations:?}\n{}",
             report.render_table()
         );
+        let bench = report.bench_report();
+        assert_eq!(bench.key, "CampaignConfig { seeds: [1], requests: 420 }");
+        let names: Vec<&str> = bench.metrics.iter().map(|m| m.0.as_str()).collect();
+        let naive =
+            ["requests_per_sec", "recovery_ratio", "shed", "hedges"].map(|m| format!("naive.{m}"));
+        assert_eq!(names[..4], naive);
+        assert_eq!(names.len(), 4 * Scenario::all().len());
+        assert!(bench.metrics.iter().all(|m| m.2 == Kind::Model));
         // The pair is the point: same trigger, opposite outcomes.
         let naive = &report.runs[0];
         let protected = &report.runs[1];
@@ -668,25 +634,5 @@ mod tests {
             naive.recovery_p99(),
             protected.recovery_p99()
         );
-    }
-
-    #[test]
-    fn json_round_trips_through_the_baseline_parser() {
-        let report = run_campaign(&CampaignConfig {
-            seeds: vec![1],
-            requests: 420,
-        });
-        let json = report.to_json();
-        let pairs = parse_baseline(&json);
-        assert_eq!(pairs.len(), Scenario::all().len());
-        assert!(report
-            .violations(Some(&json))
-            .iter()
-            .all(|v| !v.contains("regressed")));
-        let inflated = json.replace("\"requests_per_sec\": ", "\"requests_per_sec\": 9");
-        assert!(report
-            .violations(Some(&inflated))
-            .iter()
-            .any(|v| v.contains("regressed")));
     }
 }

@@ -15,9 +15,12 @@
 //!
 //! Every depth runs **twice** and the two trace fingerprints must be
 //! byte-identical — the determinism invariant holds at any depth. The
-//! report gates on depth-16 achieving at least 4x the depth-1
-//! throughput, and (when a previous `BENCH_pipeline.json` exists) on
-//! no depth regressing its simulated throughput by more than 20 %.
+//! sweep fails if depth-16 achieves less than 4x the depth-1
+//! throughput. Its [`crate::report::BenchReport`] holds lines/sec,
+//! achieved MLP and simulated seconds per depth plus the speedup, all
+//! model metrics that must match a same-config baseline exactly.
+//! Events/sec is host speed and too noisy at smoke scale to gate; it
+//! stays in the table only.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,6 +30,8 @@ use contutto_dmi::command::CacheLine;
 use contutto_power8::firmware::layouts;
 use contutto_power8::system::Power8System;
 use contutto_sim::SimTime;
+
+use crate::report::{BenchReport, Kind};
 
 /// Slot of the ConTutto card in the single-card latency layout.
 const CONTUTTO_SLOT: usize = 2;
@@ -89,6 +94,8 @@ pub struct DepthRun {
 /// The sweep report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
+    /// The configuration that ran.
+    pub config: PipelineConfig,
     /// One entry per depth, in sweep order.
     pub runs: Vec<DepthRun>,
 }
@@ -188,7 +195,10 @@ pub fn run_sweep(cfg: &PipelineConfig) -> PipelineReport {
             fingerprint: if deterministic { fp_a } else { 0 },
         });
     }
-    PipelineReport { runs }
+    PipelineReport {
+        config: cfg.clone(),
+        runs,
+    }
 }
 
 impl PipelineReport {
@@ -204,10 +214,9 @@ impl PipelineReport {
         Some(at(16)? / at(1)?)
     }
 
-    /// Gate violations: determinism, the 4x depth-16 speedup floor,
-    /// and (given a previous report's JSON) any depth more than 20 %
-    /// slower in simulated throughput than it used to be.
-    pub fn violations(&self, baseline_json: Option<&str>) -> Vec<String> {
+    /// Contract violations: determinism and the 4x depth-16 speedup
+    /// floor.
+    pub fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         for r in &self.runs {
             if r.fingerprint == 0 {
@@ -224,19 +233,31 @@ impl PipelineReport {
             Some(_) => {}
             None => v.push("sweep must include depths 1 and 16".into()),
         }
-        if let Some(json) = baseline_json {
-            for (depth, old) in parse_baseline(json) {
-                if let Some(r) = self.runs.iter().find(|r| r.depth == depth) {
-                    if r.lines_per_sec < 0.8 * old {
-                        v.push(format!(
-                            "depth {}: {:.0} lines/sec regressed >20% from baseline {:.0}",
-                            depth, r.lines_per_sec, old
-                        ));
-                    }
-                }
-            }
-        }
         v
+    }
+
+    /// The gated numbers: every one is simulated-time, so all are
+    /// model metrics.
+    pub fn bench_report(&self) -> BenchReport {
+        let mut report = BenchReport::new("pipeline", &self.config);
+        for r in &self.runs {
+            let d = r.depth;
+            report.push(
+                format!("depth{d}.lines_per_sec"),
+                r.lines_per_sec,
+                Kind::Model,
+            );
+            report.push(
+                format!("depth{d}.achieved_mlp"),
+                r.achieved_mlp,
+                Kind::Model,
+            );
+            report.push(format!("depth{d}.sim_seconds"), r.sim_seconds, Kind::Model);
+        }
+        if let Some(s) = self.speedup_16_vs_1() {
+            report.push("speedup_depth16_vs_depth1", s, Kind::Model);
+        }
+        report
     }
 
     /// Renders the human table.
@@ -264,65 +285,6 @@ impl PipelineReport {
         }
         out
     }
-
-    /// Serializes the report (hand-rolled JSON; no external deps).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"benchmark\": \"pipeline\",\n  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"depth\": {}, \"reads\": {}, \"lines_per_sec\": {:.3}, \
-                 \"achieved_mlp\": {:.4}, \"sim_seconds\": {:.9}, \
-                 \"events_per_sec\": {:.1}, \"fingerprint\": \"{:#x}\"}}",
-                r.depth,
-                r.reads,
-                r.lines_per_sec,
-                r.achieved_mlp,
-                r.sim_seconds,
-                r.events_per_sec,
-                r.fingerprint
-            );
-            out.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"speedup_depth16_vs_depth1\": {:.3}",
-            self.speedup_16_vs_1().unwrap_or(0.0)
-        );
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Extracts `(depth, lines_per_sec)` pairs from a previous report's
-/// JSON. Tolerant scanner over the format [`PipelineReport::to_json`]
-/// emits; unparseable input yields no pairs (no gate).
-fn parse_baseline(json: &str) -> Vec<(usize, f64)> {
-    let mut pairs = Vec::new();
-    for chunk in json.split("\"depth\":").skip(1) {
-        let depth: usize = match chunk
-            .trim_start()
-            .split(|c: char| !c.is_ascii_digit())
-            .next()
-            .and_then(|d| d.parse().ok())
-        {
-            Some(d) => d,
-            None => continue,
-        };
-        let Some(rest) = chunk.split("\"lines_per_sec\":").nth(1) else {
-            continue;
-        };
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = num.parse() {
-            pairs.push((depth, v));
-        }
-    }
-    pairs
 }
 
 #[cfg(test)]
@@ -343,7 +305,20 @@ mod tests {
         let report = run_sweep(&tiny());
         let s = report.speedup_16_vs_1().unwrap();
         assert!(s >= 4.0, "speedup {s}");
-        assert!(report.violations(None).is_empty());
+        assert!(report.violations().is_empty());
+        let bench = report.bench_report();
+        assert_eq!(bench.key, format!("{:?}", tiny()));
+        let names: Vec<&str> = bench.metrics.iter().map(|m| m.0.as_str()).collect();
+        assert_eq!(
+            names[..3],
+            [
+                "depth1.lines_per_sec",
+                "depth1.achieved_mlp",
+                "depth1.sim_seconds"
+            ]
+        );
+        assert_eq!(names[6..], ["speedup_depth16_vs_depth1"]);
+        assert!(bench.metrics.iter().all(|m| m.2 == Kind::Model));
     }
 
     #[test]
@@ -362,24 +337,5 @@ mod tests {
         for r in &report.runs {
             assert_ne!(r.fingerprint, 0, "depth {} not deterministic", r.depth);
         }
-    }
-
-    #[test]
-    fn json_round_trips_through_the_baseline_parser() {
-        let report = run_sweep(&tiny());
-        let pairs = parse_baseline(&report.to_json());
-        assert_eq!(pairs.len(), report.runs.len());
-        for ((d, v), r) in pairs.iter().zip(&report.runs) {
-            assert_eq!(*d, r.depth);
-            assert!((v - r.lines_per_sec).abs() < 0.01);
-        }
-        // A fresh report never regresses against its own numbers.
-        assert!(report.violations(Some(&report.to_json())).is_empty());
-        // A 10x faster fake baseline trips the 20% gate.
-        let inflated = report
-            .to_json()
-            .replace("\"lines_per_sec\": ", "\"lines_per_sec\": 9")
-            .replace("\"benchmark\"", "\"benchmark_inflated\"");
-        assert!(!report.violations(Some(&inflated)).is_empty());
     }
 }

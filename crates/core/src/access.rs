@@ -394,11 +394,6 @@ impl<'a> AccessProcessor<'a> {
         self.accelerators.insert(id, accel);
     }
 
-    /// Selects the address-mapping scheme.
-    pub fn set_address_map(&mut self, map: AddressMap) {
-        self.map = map;
-    }
-
     /// Performance monitors.
     pub fn perf(&self) -> AccessPerf {
         self.perf

@@ -17,7 +17,7 @@
 use contutto_dmi::PowerRestoreOutcome;
 use contutto_memdev::{
     DdrTimings, Dram, FaultConfig, MemoryDevice, MramGeneration, NvdimmN, RasCounters, ReadOutcome,
-    ReadResult, RestoreError, SaveState, SttMram,
+    RestoreError, SaveState, SttMram,
 };
 use contutto_sim::snapshot::{self, Persist, SnapReader};
 use contutto_sim::{SimTime, TraceEvent, Tracer};
@@ -244,24 +244,6 @@ impl MemoryController {
 
     /// Writes one 128 B line; returns durability time.
     pub fn write_line(&mut self, now: SimTime, addr: u64, data: &[u8; 128]) -> SimTime {
-        self.run_due_scrub(now);
-        self.writes += 1;
-        let done = self.device.as_device_mut().write(now, addr, data);
-        self.last_write_durable = self.last_write_durable.max(done);
-        done
-    }
-
-    /// Reads an arbitrary span (accelerator/Access-processor path).
-    pub fn read_span(&mut self, now: SimTime, addr: u64, buf: &mut [u8]) -> ReadResult {
-        self.run_due_scrub(now);
-        self.reads += 1;
-        let result = self.device.as_device_mut().read(now, addr, buf);
-        self.note_outcome(addr, result.outcome);
-        result
-    }
-
-    /// Writes an arbitrary span (accelerator/Access-processor path).
-    pub fn write_span(&mut self, now: SimTime, addr: u64, data: &[u8]) -> SimTime {
         self.run_due_scrub(now);
         self.writes += 1;
         let done = self.device.as_device_mut().write(now, addr, data);

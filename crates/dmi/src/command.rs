@@ -224,11 +224,6 @@ impl TagPool {
         NUM_TAGS - self.available()
     }
 
-    /// Whether a specific tag is currently in flight.
-    pub fn is_in_flight(&self, tag: Tag) -> bool {
-        self.free & (1 << tag.0) == 0
-    }
-
     /// Serializes the pool's dynamic state (the free bitmask) into a
     /// snapshot payload. The tracer attachment is construction-time
     /// wiring and is not part of the image.

@@ -132,14 +132,6 @@ impl CommandHeader {
             CommandOp::Flush => CommandHeader::Flush,
         }
     }
-
-    /// Whether write-data beats follow this header.
-    pub fn expects_data(&self) -> bool {
-        matches!(
-            self,
-            CommandHeader::Write { .. } | CommandHeader::Rmw { .. }
-        )
-    }
 }
 
 /// A downstream frame ready for (de)serialization.

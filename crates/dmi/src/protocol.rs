@@ -355,11 +355,6 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
         self.backlog.len()
     }
 
-    /// Whether the transmitter is mid-recovery (freeze or replay).
-    pub fn is_recovering(&self) -> bool {
-        self.tx_state != TxState::Normal
-    }
-
     /// Protocol statistics so far.
     pub fn stats(&self) -> &LinkStats {
         &self.stats
@@ -577,11 +572,6 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
     /// Sequence ID the receiver expects next (for tests).
     pub fn rx_expected(&self) -> u8 {
         self.rx_expected
-    }
-
-    /// Whether the receiver is waiting out a replay.
-    pub fn rx_awaiting_replay(&self) -> bool {
-        self.rx_state == RxState::AwaitReplay
     }
 
     /// Serializes the endpoint's dynamic state into a snapshot

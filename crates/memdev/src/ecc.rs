@@ -236,13 +236,6 @@ pub struct ScrubReport {
     pub retired_pages: Vec<u64>,
 }
 
-impl ScrubReport {
-    /// Whether the pass found nothing at all.
-    pub fn is_quiet(&self) -> bool {
-        self.corrected == 0 && self.uncorrectable == 0 && self.retired_pages.is_empty()
-    }
-}
-
 /// Cumulative RAS counters for one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RasCounters {

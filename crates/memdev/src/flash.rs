@@ -144,11 +144,6 @@ impl NandFlash {
         self.cfg
     }
 
-    /// Number of erase blocks.
-    pub fn block_count(&self) -> u64 {
-        self.blocks.len() as u64
-    }
-
     /// Erase count of a block.
     pub fn erase_count(&self, block: u64) -> u64 {
         self.blocks[block as usize].erase_count

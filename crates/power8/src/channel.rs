@@ -415,11 +415,6 @@ impl DmiChannel {
         reg
     }
 
-    /// The plugged buffer's name.
-    pub fn buffer_name(&self) -> &str {
-        self.buffer.name()
-    }
-
     /// Access to the buffer model (telemetry, knob control).
     pub fn buffer_mut(&mut self) -> &mut dyn DmiBuffer {
         self.buffer.as_mut()
@@ -512,11 +507,6 @@ impl DmiChannel {
     /// make progress (queued or in flight).
     pub fn has_command_work(&self) -> bool {
         !self.queue.is_empty() || !self.pending.is_empty()
-    }
-
-    /// The in-flight window for tracked commands.
-    pub fn inflight_window(&self) -> usize {
-        self.window
     }
 
     /// Sets the max tracked commands in flight at once, clamped to

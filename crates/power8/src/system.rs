@@ -81,14 +81,6 @@ impl PowerConfig {
     pub fn ideal() -> Self {
         PowerConfig::default()
     }
-
-    /// Finite energy on both rails.
-    pub fn budgeted(holdup_nj: u64, supercap_nj: u64) -> Self {
-        PowerConfig {
-            holdup_budget_nj: Some(holdup_nj),
-            nvdimm_supercap_nj: Some(supercap_nj),
-        }
-    }
 }
 
 /// Counters for the power-fail subsystem, surfaced as
@@ -570,11 +562,6 @@ impl Power8System {
             None => true,
             Some(b) => b.borrow_mut().try_spend(),
         }
-    }
-
-    /// The circuit breaker state for a slot, when breakers are armed.
-    pub fn breaker_state(&self, slot: usize) -> Option<BreakerState> {
-        self.breakers.get(&slot).map(CircuitBreaker::state)
     }
 
     /// Whether brownout is currently engaged.
@@ -2168,11 +2155,6 @@ impl Power8System {
             }
         }
         poison
-    }
-
-    /// Whether an evacuation is still running.
-    pub fn failover_in_progress(&self) -> bool {
-        self.migration.is_some()
     }
 
     /// Lines still waiting to reach the spare.

@@ -217,17 +217,6 @@ impl TrafficReport {
         SimTime::from_ns(hist.quantile(q))
     }
 
-    /// Shed count for one phase (admission/breaker sheds + expired
-    /// deadlines, wherever in the request's life they fired).
-    pub fn shed_in(&self, phase: Phase) -> u64 {
-        self.shed[phase_idx(phase)]
-    }
-
-    /// Hedged reads issued while the run was in `phase`.
-    pub fn hedges_in(&self, phase: Phase) -> u64 {
-        self.hedges[phase_idx(phase)]
-    }
-
     /// Successful completions per simulated second.
     pub fn achieved_rps(&self) -> f64 {
         contutto_sim::stats::ops_per_sec(self.completed, self.elapsed)
