@@ -296,3 +296,119 @@ fn matrix_post_epow() {
         double_run(seed, &boot, &prefix, &suffix);
     }
 }
+
+// ------------------------------------------------------ image oracle
+
+/// Renders one line per section of `image`: image label, section
+/// name, payload length and payload CRC-32.
+fn section_lines(label: &str, image: &[u8]) -> String {
+    use contutto_system::sim::snapshot::{crc32, SnapshotImage};
+    let parsed = SnapshotImage::parse(image).expect("valid image");
+    let mut lines = String::new();
+    for name in parsed.names() {
+        let mut r = parsed.section(name).expect("listed section");
+        let payload = r.take(r.remaining()).expect("whole payload");
+        lines.push_str(&format!(
+            "{label} {name} {} {:08x}\n",
+            payload.len(),
+            crc32(payload)
+        ));
+    }
+    lines
+}
+
+/// The image layout is part of the format: these images must keep
+/// every section byte-identical to `tests/golden/snapshot_sections.txt`
+/// until a change means to move a field (and bumps the version).
+#[test]
+fn snapshot_sections_match_the_golden_layout() {
+    use contutto_system::power8::OverloadConfig;
+
+    // Traced CDIMM system with stores landed and loads in flight.
+    let mut traced = Power8System::boot(
+        layouts::one_contutto_six_cdimm(ContuttoConfig::base(), MemoryPopulation::dram_8gb()),
+        23,
+    )
+    .expect("boots");
+    traced.enable_tracing(256);
+    for i in 0..6u64 {
+        traced
+            .store_line(0x10_0000 + i * 128, CacheLine::patterned(900 + i))
+            .unwrap();
+    }
+    for i in 0..3u64 {
+        traced.submit_load(0x10_0000 + i * 128).unwrap();
+    }
+
+    // Mirrored pair under full overload protection: breakers, retry
+    // budget, hedged loads in flight, then the primary pulled.
+    let mut mirrored = Power8System::boot_with_failover(
+        layouts::failover_pair(ContuttoConfig::base(), MemoryPopulation::dram_8gb()),
+        5,
+        FailoverMode::Mirrored {
+            primary: 2,
+            mirror: 4,
+        },
+    )
+    .expect("boots");
+    mirrored.set_overload_config(OverloadConfig::protective());
+    mirrored.set_mlp_window(16);
+    let base = slot_base(&mirrored, 2);
+    for i in 0..8u64 {
+        mirrored
+            .store_line(base + i * 128, CacheLine::patterned(i))
+            .unwrap();
+    }
+    for i in 0..8u64 {
+        mirrored.submit_load(base + i * 128).unwrap();
+    }
+    mirrored.maintenance_pull(2).unwrap();
+    mirrored.submit_load(base).unwrap();
+
+    // Spare pair mid-evacuation under the same protection.
+    let mut spare = Power8System::boot_with_failover(
+        layouts::failover_pair(ContuttoConfig::base(), MemoryPopulation::dram_8gb()),
+        7,
+        FailoverMode::Spare { spare: 4 },
+    )
+    .expect("boots");
+    spare.set_overload_config(OverloadConfig::protective());
+    let base = slot_base(&spare, 2);
+    for i in 0..12u64 {
+        spare
+            .store_line(base + i * 128, CacheLine::patterned(i))
+            .unwrap();
+    }
+    spare.maintenance_pull(2).unwrap();
+    assert!(spare.migration_backlog() > 0, "cut must land mid-copy");
+
+    // NVDIMM system powered off after EPOW, saves on the media.
+    let mut nvdimm = Power8System::boot(
+        layouts::one_contutto_six_cdimm(ContuttoConfig::base(), nvdimm_small()),
+        9,
+    )
+    .expect("boots");
+    let nv_base = nvdimm.memory_map().nonvolatile_regions()[0].base;
+    for i in 0..4u64 {
+        nvdimm
+            .store_line(nv_base + i * 128, CacheLine::patterned(i))
+            .unwrap();
+    }
+    let epow = nvdimm.epow();
+    nvdimm.power_cut(epow.done_at + SimTime::from_us(1));
+
+    let mut rendered = String::new();
+    for (label, sys) in [
+        ("traced", &mut traced),
+        ("mirrored", &mut mirrored),
+        ("spare", &mut spare),
+        ("nvdimm", &mut nvdimm),
+    ] {
+        rendered.push_str(&section_lines(label, &sys.snapshot()));
+    }
+    let golden = include_str!("golden/snapshot_sections.txt");
+    assert!(
+        rendered == golden,
+        "snapshot sections moved; this build renders:\n{rendered}"
+    );
+}
