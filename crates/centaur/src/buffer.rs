@@ -19,7 +19,9 @@ use contutto_dmi::frame::{
     line_to_upstream_beats, CommandHeader, DownstreamPayload, LineAssembler, UpstreamPayload,
 };
 use contutto_memdev::{range_ok, DdrTimings, Dram, MemoryDevice, RasCounters, ReadOutcome};
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::snapshot::{
+    self, persist_sorted_map, persist_struct, restore_map, Persist, SnapReader,
+};
 use contutto_sim::{MetricsRegistry, SimTime, TraceEvent, Tracer};
 
 use crate::cache::EdramCache;
@@ -54,10 +56,31 @@ pub struct CentaurStats {
     pub frames_orphaned: u64,
 }
 
+persist_struct! {
+    CentaurStats {
+        reads,
+        writes,
+        rmws,
+        unsupported,
+        coalesced_dones,
+        corrected_reads,
+        poisoned_reads,
+        poisoned_rmws,
+        frames_orphaned,
+    }
+}
+
 #[derive(Debug)]
 struct PendingWrite {
     header: CommandHeader,
     assembler: LineAssembler,
+}
+
+persist_struct! {
+    PendingWrite {
+        header,
+        assembler,
+    }
 }
 
 /// The Centaur memory-buffer ASIC.
@@ -390,29 +413,9 @@ impl DmiBuffer for Centaur {
         for port in &self.ports {
             port.snapshot_state(out);
         }
-        let mut tags: Vec<Tag> = self.pending_writes.keys().copied().collect();
-        tags.sort_by_key(|t| t.raw());
-        (tags.len() as u64).persist(out);
-        for tag in tags {
-            let pending = &self.pending_writes[&tag];
-            tag.persist(out);
-            pending.header.persist(out);
-            pending.assembler.persist(out);
-        }
-        (self.ready.len() as u64).persist(out);
-        for (at, payload) in &self.ready {
-            at.persist(out);
-            payload.persist(out);
-        }
-        self.stats.reads.persist(out);
-        self.stats.writes.persist(out);
-        self.stats.rmws.persist(out);
-        self.stats.unsupported.persist(out);
-        self.stats.coalesced_dones.persist(out);
-        self.stats.corrected_reads.persist(out);
-        self.stats.poisoned_reads.persist(out);
-        self.stats.poisoned_rmws.persist(out);
-        self.stats.frames_orphaned.persist(out);
+        persist_sorted_map(&self.pending_writes, out);
+        self.ready.persist(out);
+        self.stats.persist(out);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
@@ -426,37 +429,9 @@ impl DmiBuffer for Centaur {
         for port in &mut self.ports {
             port.restore_state(r)?;
         }
-        let n = r.len()?;
-        let mut pending_writes = HashMap::with_capacity(n.min(256));
-        for _ in 0..n {
-            let tag = Tag::restore(r)?;
-            let pending = PendingWrite {
-                header: CommandHeader::restore(r)?,
-                assembler: LineAssembler::restore(r)?,
-            };
-            if pending_writes.insert(tag, pending).is_some() {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "duplicate pending-write tag",
-                });
-            }
-        }
-        let n = r.len()?;
-        let mut ready = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let at = SimTime::restore(r)?;
-            ready.push_back((at, UpstreamPayload::restore(r)?));
-        }
-        let stats = CentaurStats {
-            reads: r.u64()?,
-            writes: r.u64()?,
-            rmws: r.u64()?,
-            unsupported: r.u64()?,
-            coalesced_dones: r.u64()?,
-            corrected_reads: r.u64()?,
-            poisoned_reads: r.u64()?,
-            poisoned_rmws: r.u64()?,
-            frames_orphaned: r.u64()?,
-        };
+        let pending_writes = restore_map(r)?;
+        let ready = VecDeque::restore(r)?;
+        let stats = CentaurStats::restore(r)?;
         self.pending_writes = pending_writes;
         self.ready = ready;
         self.stats = stats;

@@ -7,7 +7,7 @@
 //! authoritative in DRAM (the model writes through), so the cache only
 //! decides whether an access pays DRAM latency.
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::snapshot::{self, persist_struct, Persist, SnapReader};
 
 /// A set-associative tag array with LRU replacement.
 #[derive(Debug, Clone)]
@@ -27,6 +27,14 @@ struct CacheWay {
     valid: bool,
     tag: u64,
     last_used: u64,
+}
+
+persist_struct! {
+    CacheWay {
+        valid,
+        tag,
+        last_used,
+    }
 }
 
 impl EdramCache {
@@ -185,12 +193,7 @@ impl EdramCache {
         (self.ways as u64).persist(out);
         self.line_bytes.persist(out);
         for set in &self.sets {
-            (set.len() as u64).persist(out);
-            for way in set {
-                way.valid.persist(out);
-                way.tag.persist(out);
-                way.last_used.persist(out);
-            }
+            set.persist(out);
         }
         self.tick.persist(out);
         self.hits.persist(out);
@@ -205,8 +208,9 @@ impl EdramCache {
     /// # Errors
     ///
     /// [`snapshot::RestoreError::TopologyMismatch`] if the image came
-    /// from a different geometry, or any decode error from a corrupt
-    /// payload.
+    /// from a different geometry, [`snapshot::RestoreError::Malformed`]
+    /// for a set whose way count is not the cache's, or any decode
+    /// error from a corrupt payload.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
         let num_sets = r.len()?;
         let ways = r.len()?;
@@ -218,13 +222,10 @@ impl EdramCache {
         }
         let mut sets = Vec::with_capacity(num_sets);
         for _ in 0..num_sets {
-            let set_ways = r.len()?;
-            let mut set = Vec::with_capacity(set_ways);
-            for _ in 0..set_ways {
-                set.push(CacheWay {
-                    valid: r.bool()?,
-                    tag: r.u64()?,
-                    last_used: r.u64()?,
+            let set = Vec::<CacheWay>::restore(r)?;
+            if set.len() != ways {
+                return Err(snapshot::RestoreError::Malformed {
+                    context: "cache set way count",
                 });
             }
             sets.push(set);
@@ -347,6 +348,28 @@ mod tests {
             matches!(err, snapshot::RestoreError::TopologyMismatch { .. }),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn corrupt_set_way_count_is_a_typed_error() {
+        let c = EdramCache::new(16 << 10, 4);
+        let mut img = Vec::new();
+        c.snapshot_state(&mut img);
+        // Geometry header (3 x u64), then set 0 (length + 4 ways of 17
+        // bytes); set 1's way count follows.
+        let at = 24 + 8 + 4 * 17;
+        for (count, want_malformed) in [(u64::MAX / 2, false), (3, true)] {
+            let mut bad = img.clone();
+            bad[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            let err = EdramCache::new(16 << 10, 4)
+                .restore_state(&mut SnapReader::new(&bad))
+                .unwrap_err();
+            assert_eq!(
+                matches!(err, snapshot::RestoreError::Malformed { .. }),
+                want_malformed,
+                "count {count}: {err:?}"
+            );
+        }
     }
 
     #[test]

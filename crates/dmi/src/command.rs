@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
+use contutto_sim::snapshot::{persist_enum, persist_struct, Persist, RestoreError, SnapReader};
 use contutto_sim::{TraceEvent, Tracer};
 
 use crate::error::DmiError;
@@ -223,23 +223,13 @@ impl TagPool {
     pub fn in_flight(&self) -> usize {
         NUM_TAGS - self.available()
     }
+}
 
-    /// Serializes the pool's dynamic state (the free bitmask) into a
-    /// snapshot payload. The tracer attachment is construction-time
-    /// wiring and is not part of the image.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.free.persist(out);
-    }
-
-    /// Overlays pool state from a snapshot payload, keeping the
-    /// existing tracer attachment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RestoreError`] from the payload decode.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        self.free = u32::restore(r)?;
-        Ok(())
+// The tracer attachment is construction-time wiring and is not part
+// of the image.
+persist_struct! {
+    overlay TagPool {
+        free,
     }
 }
 
@@ -417,13 +407,8 @@ impl MemResponse {
     }
 }
 
-impl Persist for CacheLine {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.0.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(CacheLine(<[u8; CACHE_LINE_BYTES]>::restore(r)?))
-    }
+persist_struct! {
+    CacheLine([u8; CACHE_LINE_BYTES])
 }
 
 impl Persist for Tag {
@@ -437,122 +422,36 @@ impl Persist for Tag {
     }
 }
 
-impl Persist for RmwOp {
-    fn persist(&self, out: &mut Vec<u8>) {
-        match self {
-            RmwOp::PartialWrite { sector_mask } => {
-                out.push(0);
-                sector_mask.persist(out);
-            }
-            RmwOp::AtomicAdd => out.push(1),
-            RmwOp::MinStore => out.push(2),
-            RmwOp::MaxStore => out.push(3),
-            RmwOp::ConditionalSwap => out.push(4),
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(match r.u8()? {
-            0 => RmwOp::PartialWrite {
-                sector_mask: r.u8()?,
-            },
-            1 => RmwOp::AtomicAdd,
-            2 => RmwOp::MinStore,
-            3 => RmwOp::MaxStore,
-            4 => RmwOp::ConditionalSwap,
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "RmwOp discriminant",
-                })
-            }
-        })
+persist_enum! {
+    RmwOp, "RmwOp discriminant" {
+        0 => PartialWrite { sector_mask },
+        1 => AtomicAdd,
+        2 => MinStore,
+        3 => MaxStore,
+        4 => ConditionalSwap,
     }
 }
 
-impl Persist for CommandOp {
-    fn persist(&self, out: &mut Vec<u8>) {
-        match self {
-            CommandOp::Read { addr } => {
-                out.push(0);
-                addr.persist(out);
-            }
-            CommandOp::Write { addr, data } => {
-                out.push(1);
-                addr.persist(out);
-                data.persist(out);
-            }
-            CommandOp::Rmw { addr, op, data } => {
-                out.push(2);
-                addr.persist(out);
-                op.persist(out);
-                data.persist(out);
-            }
-            CommandOp::Flush => out.push(3),
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(match r.u8()? {
-            0 => CommandOp::Read { addr: r.u64()? },
-            1 => CommandOp::Write {
-                addr: r.u64()?,
-                data: CacheLine::restore(r)?,
-            },
-            2 => CommandOp::Rmw {
-                addr: r.u64()?,
-                op: RmwOp::restore(r)?,
-                data: CacheLine::restore(r)?,
-            },
-            3 => CommandOp::Flush,
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "CommandOp discriminant",
-                })
-            }
-        })
+persist_enum! {
+    CommandOp, "CommandOp discriminant" {
+        0 => Read { addr },
+        1 => Write { addr, data },
+        2 => Rmw { addr, op, data },
+        3 => Flush,
     }
 }
 
-impl Persist for MemCommand {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.tag.persist(out);
-        self.op.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(MemCommand {
-            tag: Tag::restore(r)?,
-            op: CommandOp::restore(r)?,
-        })
+persist_struct! {
+    MemCommand {
+        tag,
+        op,
     }
 }
 
-impl Persist for MemResponse {
-    fn persist(&self, out: &mut Vec<u8>) {
-        match self {
-            MemResponse::ReadData { tag, data } => {
-                out.push(0);
-                tag.persist(out);
-                data.persist(out);
-            }
-            MemResponse::Done { tag } => {
-                out.push(1);
-                tag.persist(out);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(match r.u8()? {
-            0 => MemResponse::ReadData {
-                tag: Tag::restore(r)?,
-                data: CacheLine::restore(r)?,
-            },
-            1 => MemResponse::Done {
-                tag: Tag::restore(r)?,
-            },
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "MemResponse discriminant",
-                })
-            }
-        })
+persist_enum! {
+    MemResponse, "MemResponse discriminant" {
+        0 => ReadData { tag, data },
+        1 => Done { tag },
     }
 }
 

@@ -22,7 +22,7 @@
 //! direction (paper §2.3): `0x80 | seq` acknowledges `seq`, `0x00`
 //! carries no ACK.
 
-use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
+use contutto_sim::snapshot::{persist_enum, Persist, RestoreError, SnapReader};
 
 use crate::command::{CacheLine, CommandOp, RmwOp, Tag};
 use crate::crc::crc16;
@@ -615,125 +615,20 @@ impl Persist for LineAssembler {
     }
 }
 
-impl Persist for ControlKind {
-    fn persist(&self, out: &mut Vec<u8>) {
-        match self {
-            ControlKind::TrainingPattern { stage, value } => {
-                0u8.persist(out);
-                stage.persist(out);
-                value.persist(out);
-            }
-            ControlKind::FrtlProbe { signature } => {
-                1u8.persist(out);
-                signature.persist(out);
-            }
-            ControlKind::FrtlEcho { signature } => {
-                2u8.persist(out);
-                signature.persist(out);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        match r.u8()? {
-            0 => Ok(ControlKind::TrainingPattern {
-                stage: r.u8()?,
-                value: r.u32()?,
-            }),
-            1 => Ok(ControlKind::FrtlProbe {
-                signature: r.u32()?,
-            }),
-            2 => Ok(ControlKind::FrtlEcho {
-                signature: r.u32()?,
-            }),
-            _ => Err(RestoreError::Malformed {
-                context: "ControlKind discriminant",
-            }),
-        }
+persist_enum! {
+    ControlKind, "ControlKind discriminant" {
+        0 => TrainingPattern { stage, value },
+        1 => FrtlProbe { signature },
+        2 => FrtlEcho { signature },
     }
 }
 
-impl Persist for CommandHeader {
-    fn persist(&self, out: &mut Vec<u8>) {
-        match self {
-            CommandHeader::Read { addr } => {
-                0u8.persist(out);
-                addr.persist(out);
-            }
-            CommandHeader::Write { addr } => {
-                1u8.persist(out);
-                addr.persist(out);
-            }
-            CommandHeader::Rmw { addr, op } => {
-                2u8.persist(out);
-                addr.persist(out);
-                op.persist(out);
-            }
-            CommandHeader::Flush => 3u8.persist(out),
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        match r.u8()? {
-            0 => Ok(CommandHeader::Read { addr: r.u64()? }),
-            1 => Ok(CommandHeader::Write { addr: r.u64()? }),
-            2 => Ok(CommandHeader::Rmw {
-                addr: r.u64()?,
-                op: RmwOp::restore(r)?,
-            }),
-            3 => Ok(CommandHeader::Flush),
-            _ => Err(RestoreError::Malformed {
-                context: "CommandHeader discriminant",
-            }),
-        }
-    }
-}
-
-impl Persist for DownstreamPayload {
-    fn persist(&self, out: &mut Vec<u8>) {
-        match self {
-            DownstreamPayload::Idle => 0u8.persist(out),
-            DownstreamPayload::Command { tag, header } => {
-                1u8.persist(out);
-                tag.persist(out);
-                header.persist(out);
-            }
-            DownstreamPayload::WriteData { tag, beat, data } => {
-                2u8.persist(out);
-                tag.persist(out);
-                beat.persist(out);
-                data.persist(out);
-            }
-            DownstreamPayload::Control(kind) => {
-                3u8.persist(out);
-                kind.persist(out);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        match r.u8()? {
-            0 => Ok(DownstreamPayload::Idle),
-            1 => Ok(DownstreamPayload::Command {
-                tag: Tag::restore(r)?,
-                header: CommandHeader::restore(r)?,
-            }),
-            2 => {
-                let tag = Tag::restore(r)?;
-                let beat = r.u8()?;
-                if usize::from(beat) >= DOWNSTREAM_BEATS_PER_LINE {
-                    return Err(RestoreError::Malformed {
-                        context: "downstream beat index",
-                    });
-                }
-                Ok(DownstreamPayload::WriteData {
-                    tag,
-                    beat,
-                    data: <[u8; DOWNSTREAM_BEAT_BYTES]>::restore(r)?,
-                })
-            }
-            3 => Ok(DownstreamPayload::Control(ControlKind::restore(r)?)),
-            _ => Err(RestoreError::Malformed {
-                context: "DownstreamPayload discriminant",
-            }),
-        }
+persist_enum! {
+    CommandHeader, "CommandHeader discriminant" {
+        0 => Read { addr },
+        1 => Write { addr },
+        2 => Rmw { addr, op },
+        3 => Flush,
     }
 }
 

@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
+use contutto_sim::snapshot::{persist_enum, persist_struct, Persist, RestoreError, SnapReader};
 use contutto_sim::{LinkDir, TraceEvent, Tracer};
 
 use crate::error::DmiError;
@@ -239,6 +239,21 @@ enum RxState {
     AwaitReplay,
 }
 
+persist_enum! {
+    TxState, "TxState discriminant" {
+        0 => Normal,
+        1 => Freeze { slots_left },
+        2 => Replay { next_idx },
+    }
+}
+
+persist_enum! {
+    RxState, "RxState discriminant" {
+        0 => Normal,
+        1 => AwaitReplay,
+    }
+}
+
 /// Cumulative protocol statistics for one endpoint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkStats {
@@ -256,6 +271,18 @@ pub struct LinkStats {
     pub replays_triggered: u64,
     /// Frames re-transmitted during replays (excluding freeze dups).
     pub frames_replayed: u64,
+}
+
+persist_struct! {
+    LinkStats {
+        frames_tx,
+        frames_rx_ok,
+        crc_errors,
+        seq_errors,
+        duplicates_dropped,
+        replays_triggered,
+        frames_replayed,
+    }
 }
 
 /// Modulo-128 "is `a` at-or-before `b`" within a window of half the
@@ -594,34 +621,15 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
         self.next_seq.persist(out);
         self.acked_upto.persist(out);
         self.slots_since_progress.persist(out);
-        match self.tx_state {
-            TxState::Normal => out.push(0),
-            TxState::Freeze { slots_left } => {
-                out.push(1);
-                slots_left.persist(out);
-            }
-            TxState::Replay { next_idx } => {
-                out.push(2);
-                next_idx.persist(out);
-            }
-        }
+        self.tx_state.persist(out);
         self.last_frame
             .as_ref()
             .map(WireFrame::serialize)
             .persist(out);
         self.rx_expected.persist(out);
-        out.push(match self.rx_state {
-            RxState::Normal => 0,
-            RxState::AwaitReplay => 1,
-        });
+        self.rx_state.persist(out);
         self.pending_ack.persist(out);
-        self.stats.frames_tx.persist(out);
-        self.stats.frames_rx_ok.persist(out);
-        self.stats.crc_errors.persist(out);
-        self.stats.seq_errors.persist(out);
-        self.stats.duplicates_dropped.persist(out);
-        self.stats.replays_triggered.persist(out);
-        self.stats.frames_replayed.persist(out);
+        self.stats.persist(out);
     }
 
     /// Overlays endpoint state from a snapshot payload onto this
@@ -668,39 +676,17 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
         let next_seq = r.u8()?;
         let acked_upto = Option::<u8>::restore(r)?;
         let slots_since_progress = u64::restore(r)?;
-        let tx_state = match r.u8()? {
-            0 => TxState::Normal,
-            1 => TxState::Freeze {
-                slots_left: r.u64()?,
-            },
-            2 => {
-                let next_idx = usize::restore(r)?;
-                if next_idx > replay.len() {
-                    return Err(RestoreError::Malformed {
-                        context: "replay cursor out of range",
-                    });
-                }
-                TxState::Replay { next_idx }
-            }
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "TxState discriminant",
-                })
-            }
-        };
+        let tx_state = TxState::restore(r)?;
+        if matches!(tx_state, TxState::Replay { next_idx } if next_idx > replay.len()) {
+            return Err(RestoreError::Malformed {
+                context: "replay cursor out of range",
+            });
+        }
         let last_frame = Option::<Vec<u8>>::restore(r)?
             .map(|bytes| decode_frame::<T>(&bytes))
             .transpose()?;
         let rx_expected = r.u8()?;
-        let rx_state = match r.u8()? {
-            0 => RxState::Normal,
-            1 => RxState::AwaitReplay,
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "RxState discriminant",
-                })
-            }
-        };
+        let rx_state = RxState::restore(r)?;
         let pending_ack = Option::<u8>::restore(r)?;
         if next_seq >= SEQ_MODULO
             || rx_expected >= SEQ_MODULO
@@ -711,15 +697,7 @@ impl<T: WireFrame, R: WireFrame> LinkEndpoint<T, R> {
                 context: "sequence ID out of range",
             });
         }
-        let stats = LinkStats {
-            frames_tx: r.u64()?,
-            frames_rx_ok: r.u64()?,
-            crc_errors: r.u64()?,
-            seq_errors: r.u64()?,
-            duplicates_dropped: r.u64()?,
-            replays_triggered: r.u64()?,
-            frames_replayed: r.u64()?,
-        };
+        let stats = LinkStats::restore(r)?;
 
         self.cfg = candidate;
         self.backlog = backlog;

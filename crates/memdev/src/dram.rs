@@ -9,7 +9,7 @@
 //! ConTutto's soft DDR3 controller (paper §3.3(v): "For DRAM
 //! enablement, we use the soft DDR3 memory controller from Altera").
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::snapshot::{self, persist_struct, Persist, SnapReader};
 use contutto_sim::SimTime;
 
 use crate::ecc::{MediaRas, RasCounters, ReadResult, ScrubReport};
@@ -63,6 +63,13 @@ struct BankState {
     busy_until: SimTime,
 }
 
+persist_struct! {
+    BankState {
+        open_row,
+        busy_until,
+    }
+}
+
 /// Outcome classification of a single DRAM access, for stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowOutcome {
@@ -85,6 +92,15 @@ pub struct DramStats {
     pub conflicts: u64,
     /// Refresh stalls encountered.
     pub refresh_stalls: u64,
+}
+
+persist_struct! {
+    DramStats {
+        hits,
+        misses,
+        conflicts,
+        refresh_stalls,
+    }
 }
 
 /// A DDR3 DRAM device.
@@ -216,16 +232,12 @@ impl Dram {
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
         self.capacity.persist(out);
         for bank in &self.banks {
-            bank.open_row.persist(out);
-            bank.busy_until.persist(out);
+            bank.persist(out);
         }
         self.store.persist(out);
         self.next_refresh.persist(out);
         self.last_data_out.persist(out);
-        self.stats.hits.persist(out);
-        self.stats.misses.persist(out);
-        self.stats.conflicts.persist(out);
-        self.stats.refresh_stalls.persist(out);
+        self.stats.persist(out);
         self.ras.persist(out);
     }
 
@@ -246,18 +258,12 @@ impl Dram {
         }
         let mut banks = [BankState::default(); NUM_BANKS];
         for bank in banks.iter_mut() {
-            bank.open_row = Option::restore(r)?;
-            bank.busy_until = SimTime::restore(r)?;
+            *bank = BankState::restore(r)?;
         }
         let store = SparseMemory::restore(r)?;
         let next_refresh = SimTime::restore(r)?;
         let last_data_out = SimTime::restore(r)?;
-        let stats = DramStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            conflicts: r.u64()?,
-            refresh_stalls: r.u64()?,
-        };
+        let stats = DramStats::restore(r)?;
         let ras = MediaRas::restore(r)?;
         self.banks = banks;
         self.store = store;

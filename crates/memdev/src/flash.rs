@@ -7,7 +7,7 @@
 //! This is the media model under the SSD / PCIe-flash baselines in the
 //! storage crate and the backup store inside NVDIMM-N.
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::snapshot::{self, persist_struct, Persist, SnapReader};
 use contutto_sim::SimTime;
 
 use crate::ecc::{ReadOutcome, ReadResult};
@@ -72,6 +72,14 @@ struct BlockState {
     /// Worn out and retired: writes are dropped (and counted), reads
     /// come back uncorrectable.
     bad: bool,
+}
+
+persist_struct! {
+    BlockState {
+        programmed,
+        erase_count,
+        bad,
+    }
 }
 
 /// Errors from flash operations.
@@ -180,12 +188,7 @@ impl NandFlash {
     pub fn snapshot_state(&self, out: &mut Vec<u8>) {
         self.capacity.persist(out);
         self.store.persist(out);
-        (self.blocks.len() as u64).persist(out);
-        for block in &self.blocks {
-            block.programmed.persist(out);
-            block.erase_count.persist(out);
-            block.bad.persist(out);
-        }
+        self.blocks.persist(out);
         self.busy_until.persist(out);
         self.dropped_writes.persist(out);
     }
@@ -205,20 +208,12 @@ impl NandFlash {
             });
         }
         let store = SparseMemory::restore(r)?;
-        let count = r.len()?;
-        if count != self.blocks.len() {
+        if r.peek_len()? != self.blocks.len() {
             return Err(snapshot::RestoreError::TopologyMismatch {
                 context: "flash block count",
             });
         }
-        let mut blocks = Vec::with_capacity(count);
-        for _ in 0..count {
-            blocks.push(BlockState {
-                programmed: r.u64()?,
-                erase_count: r.u64()?,
-                bad: r.bool()?,
-            });
-        }
+        let blocks = Vec::restore(r)?;
         let busy_until = SimTime::restore(r)?;
         let dropped_writes = r.u64()?;
         self.store = store;

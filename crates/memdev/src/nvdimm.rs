@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::snapshot::{self, persist_enum, Persist, SnapReader};
 use contutto_sim::{SimTime, TraceEvent, Tracer};
 
 use crate::dram::{DdrTimings, Dram};
@@ -51,6 +51,22 @@ pub enum SaveSequence {
     JedecDdr4,
     /// A vendor-specific DDR3 sequence, identified by vendor code.
     VendorDdr3(u8),
+}
+
+persist_enum! {
+    SaveState, "save state discriminant" {
+        0 => Idle,
+        1 => Saving { done_at },
+        2 => Saved,
+        3 => Lost,
+    }
+}
+
+persist_enum! {
+    SaveSequence, "save sequence discriminant" {
+        0 => JedecDdr4,
+        1 => VendorDdr3(vendor),
+    }
 }
 
 /// Why a power-restore failed to bring the data back. Either way the
@@ -436,22 +452,8 @@ impl NvdimmN {
         self.dram.snapshot_state(out);
         self.flash.snapshot_state(out);
         self.armed.persist(out);
-        match self.state {
-            SaveState::Idle => 0u8.persist(out),
-            SaveState::Saving { done_at } => {
-                1u8.persist(out);
-                done_at.persist(out);
-            }
-            SaveState::Saved => 2u8.persist(out),
-            SaveState::Lost => 3u8.persist(out),
-        }
-        match self.sequence {
-            SaveSequence::JedecDdr4 => 0u8.persist(out),
-            SaveSequence::VendorDdr3(vendor) => {
-                1u8.persist(out);
-                vendor.persist(out);
-            }
-        }
+        self.state.persist(out);
+        self.sequence.persist(out);
         self.save_crc.persist(out);
         self.supercap_budget_nj.persist(out);
         self.supercap_remaining_nj.persist(out);
@@ -471,28 +473,8 @@ impl NvdimmN {
         self.dram.restore_state(r)?;
         self.flash.restore_state(r)?;
         self.armed = r.bool()?;
-        self.state = match r.u8()? {
-            0 => SaveState::Idle,
-            1 => SaveState::Saving {
-                done_at: SimTime::restore(r)?,
-            },
-            2 => SaveState::Saved,
-            3 => SaveState::Lost,
-            _ => {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "save state discriminant",
-                })
-            }
-        };
-        self.sequence = match r.u8()? {
-            0 => SaveSequence::JedecDdr4,
-            1 => SaveSequence::VendorDdr3(r.u8()?),
-            _ => {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "save sequence discriminant",
-                })
-            }
-        };
+        self.state = SaveState::restore(r)?;
+        self.sequence = SaveSequence::restore(r)?;
         self.save_crc = Option::restore(r)?;
         self.supercap_budget_nj = Option::restore(r)?;
         self.supercap_remaining_nj = r.u64()?;

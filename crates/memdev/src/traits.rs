@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
+use contutto_sim::snapshot::persist_enum;
 use contutto_sim::SimTime;
 
 use crate::ecc::{ReadResult, ScrubReport};
@@ -40,30 +40,13 @@ impl MediaKind {
     }
 }
 
-impl Persist for MediaKind {
-    fn persist(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            MediaKind::Dram => 0,
-            MediaKind::SttMram => 1,
-            MediaKind::NvdimmN => 2,
-            MediaKind::NandFlash => 3,
-            MediaKind::HardDisk => 4,
-        };
-        tag.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, snapshot::RestoreError> {
-        Ok(match r.u8()? {
-            0 => MediaKind::Dram,
-            1 => MediaKind::SttMram,
-            2 => MediaKind::NvdimmN,
-            3 => MediaKind::NandFlash,
-            4 => MediaKind::HardDisk,
-            _ => {
-                return Err(snapshot::RestoreError::Malformed {
-                    context: "media kind discriminant",
-                })
-            }
-        })
+persist_enum! {
+    MediaKind, "media kind discriminant" {
+        0 => Dram,
+        1 => SttMram,
+        2 => NvdimmN,
+        3 => NandFlash,
+        4 => HardDisk,
     }
 }
 

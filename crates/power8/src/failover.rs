@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
+use contutto_sim::snapshot::{persist_enum, persist_struct};
 use contutto_sim::SimTime;
 
 /// Sim-time charged per line moved by the background migrator. The
@@ -97,87 +97,31 @@ pub struct FailoverStats {
     pub lines_unreadable: u64,
 }
 
-impl Persist for FailoverMode {
-    fn persist(&self, out: &mut Vec<u8>) {
-        match self {
-            FailoverMode::None => 0u8.persist(out),
-            FailoverMode::Spare { spare } => {
-                1u8.persist(out);
-                spare.persist(out);
-            }
-            FailoverMode::Mirrored { primary, mirror } => {
-                2u8.persist(out);
-                primary.persist(out);
-                mirror.persist(out);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(match r.u8()? {
-            0 => FailoverMode::None,
-            1 => FailoverMode::Spare {
-                spare: usize::restore(r)?,
-            },
-            2 => FailoverMode::Mirrored {
-                primary: usize::restore(r)?,
-                mirror: usize::restore(r)?,
-            },
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "failover mode discriminant",
-                })
-            }
-        })
+persist_enum! {
+    FailoverMode, "failover mode discriminant" {
+        0 => None,
+        1 => Spare { spare },
+        2 => Mirrored { primary, mirror },
     }
 }
 
-impl Persist for Migration {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.from.persist(out);
-        self.to.persist(out);
-        self.pending.persist(out);
-        self.migrated.persist(out);
-        self.poison_migrated.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let from = usize::restore(r)?;
-        let to = usize::restore(r)?;
-        let pending = BTreeSet::restore(r)?;
-        let migrated = r.u64()?;
-        let poison_migrated = r.u64()?;
-        Ok(Migration {
-            from,
-            to,
-            pending,
-            migrated,
-            poison_migrated,
-        })
+persist_struct! {
+    Migration {
+        from,
+        to,
+        pending,
+        migrated,
+        poison_migrated,
     }
 }
 
-impl Persist for FailoverStats {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.failovers.persist(out);
-        self.lines_migrated.persist(out);
-        self.poison_migrated.persist(out);
-        self.demand_migrations.persist(out);
-        self.mirror_read_fallbacks.persist(out);
-        self.lines_unreadable.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let failovers = r.u64()?;
-        let lines_migrated = r.u64()?;
-        let poison_migrated = r.u64()?;
-        let demand_migrations = r.u64()?;
-        let mirror_read_fallbacks = r.u64()?;
-        let lines_unreadable = r.u64()?;
-        Ok(FailoverStats {
-            failovers,
-            lines_migrated,
-            poison_migrated,
-            demand_migrations,
-            mirror_read_fallbacks,
-            lines_unreadable,
-        })
+persist_struct! {
+    FailoverStats {
+        failovers,
+        lines_migrated,
+        poison_migrated,
+        demand_migrations,
+        mirror_read_fallbacks,
+        lines_unreadable,
     }
 }

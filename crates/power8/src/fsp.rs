@@ -11,7 +11,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use contutto_sim::snapshot::{persist_sorted_map, restore_map, Persist, RestoreError, SnapReader};
+use contutto_sim::snapshot::{
+    persist_enum, persist_sorted_map, persist_struct, restore_map, Persist, RestoreError,
+    SnapReader,
+};
 use contutto_sim::SimTime;
 
 /// Severity of a logged event.
@@ -38,6 +41,23 @@ pub struct LogEntry {
     pub message: String,
 }
 
+persist_enum! {
+    Severity, "fsp severity discriminant" {
+        0 => Info,
+        1 => Recovered,
+        2 => Unrecovered,
+    }
+}
+
+persist_struct! {
+    LogEntry {
+        at,
+        channel,
+        severity,
+        message,
+    }
+}
+
 /// FSP-level errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FspError {
@@ -46,6 +66,12 @@ pub enum FspError {
         /// The dead channel.
         channel: usize,
     },
+}
+
+persist_struct! {
+    FspError::ChannelDeconfigured {
+        channel,
+    }
 }
 
 impl std::fmt::Display for FspError {
@@ -230,18 +256,7 @@ impl ServiceProcessor {
         self.log_dropped.persist(out);
         self.error_budget.persist(out);
         self.breaker_reports.persist(out);
-        (self.log.len() as u64).persist(out);
-        for e in &self.log {
-            e.at.persist(out);
-            e.channel.persist(out);
-            let sev: u8 = match e.severity {
-                Severity::Info => 0,
-                Severity::Recovered => 1,
-                Severity::Unrecovered => 2,
-            };
-            sev.persist(out);
-            e.message.persist(out);
-        }
+        self.log.persist(out);
         persist_sorted_map(&self.unrecovered_counts, out);
         self.deconfigured.persist(out);
     }
@@ -263,34 +278,12 @@ impl ServiceProcessor {
         let log_dropped = r.u64()?;
         let error_budget = r.u32()?;
         let breaker_reports = r.u64()?;
-        let n = r.len()?;
-        if n > log_capacity {
+        if r.peek_len()? > log_capacity {
             return Err(RestoreError::Malformed {
                 context: "fsp log holds more than its capacity",
             });
         }
-        let mut log = VecDeque::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let at = SimTime::restore(r)?;
-            let channel = usize::restore(r)?;
-            let severity = match r.u8()? {
-                0 => Severity::Info,
-                1 => Severity::Recovered,
-                2 => Severity::Unrecovered,
-                _ => {
-                    return Err(RestoreError::Malformed {
-                        context: "fsp severity discriminant",
-                    })
-                }
-            };
-            let message = r.string()?;
-            log.push_back(LogEntry {
-                at,
-                channel,
-                severity,
-                message,
-            });
-        }
+        let log = VecDeque::restore(r)?;
         let unrecovered_counts = restore_map(r)?;
         let deconfigured = Vec::restore(r)?;
         self.log = log;

@@ -29,7 +29,7 @@
 //! Everything here is integer/deterministic: same seed, same decision
 //! sequence, byte-identical runs — the workspace's hard invariant.
 
-use contutto_sim::snapshot::{Persist, RestoreError, SnapReader};
+use contutto_sim::snapshot::{persist_enum, persist_struct};
 use contutto_sim::SimTime;
 
 /// Circuit-breaker states, the classic three-state machine.
@@ -190,52 +190,17 @@ impl CircuitBreaker {
         self.probe_successes = 0;
         self.times_opened += 1;
     }
+}
 
-    /// Serializes the breaker's dynamic state (the tuning is a
-    /// construction parameter the restorer already holds).
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        let state: u8 = match self.state {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        };
-        state.persist(out);
-        self.consecutive_failures.persist(out);
-        self.opened_at.persist(out);
-        self.probes_in_flight.persist(out);
-        self.probe_successes.persist(out);
-        self.times_opened.persist(out);
-    }
-
-    /// Overlays [`CircuitBreaker::snapshot_state`] bytes onto this
-    /// breaker.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError`] on truncation or an unknown state discriminant.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let state = match r.u8()? {
-            0 => BreakerState::Closed,
-            1 => BreakerState::Open,
-            2 => BreakerState::HalfOpen,
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "breaker state discriminant",
-                })
-            }
-        };
-        let consecutive_failures = r.u32()?;
-        let opened_at = SimTime::restore(r)?;
-        let probes_in_flight = r.u32()?;
-        let probe_successes = r.u32()?;
-        let times_opened = r.u32()?;
-        self.state = state;
-        self.consecutive_failures = consecutive_failures;
-        self.opened_at = opened_at;
-        self.probes_in_flight = probes_in_flight;
-        self.probe_successes = probe_successes;
-        self.times_opened = times_opened;
-        Ok(())
+// The tuning is a construction parameter the restorer already holds.
+persist_struct! {
+    overlay CircuitBreaker {
+        state,
+        consecutive_failures,
+        opened_at,
+        probes_in_flight,
+        probe_successes,
+        times_opened,
     }
 }
 
@@ -315,27 +280,13 @@ impl RetryBudget {
     pub fn denied(&self) -> u64 {
         self.denied
     }
+}
 
-    /// Serializes the bucket's dynamic state (fill level and counters).
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        self.milli.persist(out);
-        self.spent.persist(out);
-        self.denied.persist(out);
-    }
-
-    /// Overlays [`RetryBudget::snapshot_state`] bytes onto this bucket.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::Truncated`] on short input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let milli = r.u64()?;
-        let spent = r.u64()?;
-        let denied = r.u64()?;
-        self.milli = milli;
-        self.spent = spent;
-        self.denied = denied;
-        Ok(())
+persist_struct! {
+    overlay RetryBudget {
+        milli,
+        spent,
+        denied,
     }
 }
 
@@ -476,126 +427,76 @@ pub struct OverloadStats {
     pub stalls: u64,
 }
 
-impl Persist for BreakerConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.failure_threshold.persist(out);
-        self.open_for.persist(out);
-        self.probe_budget.persist(out);
-        self.close_after.persist(out);
-        self.deconfigure_after_opens.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(BreakerConfig {
-            failure_threshold: r.u32()?,
-            open_for: SimTime::restore(r)?,
-            probe_budget: r.u32()?,
-            close_after: r.u32()?,
-            deconfigure_after_opens: r.u32()?,
-        })
+persist_enum! {
+    BreakerState, "breaker state discriminant" {
+        0 => Closed,
+        1 => Open,
+        2 => HalfOpen,
     }
 }
 
-impl Persist for RetryBudgetConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.refill_per_success_milli.persist(out);
-        self.burst.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(RetryBudgetConfig {
-            refill_per_success_milli: r.u64()?,
-            burst: r.u64()?,
-        })
+persist_struct! {
+    BreakerConfig {
+        failure_threshold,
+        open_for,
+        probe_budget,
+        close_after,
+        deconfigure_after_opens,
     }
 }
 
-impl Persist for AdmissionConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.queue_limit.persist(out);
-        self.service_estimate.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(AdmissionConfig {
-            queue_limit: usize::restore(r)?,
-            service_estimate: SimTime::restore(r)?,
-        })
+persist_struct! {
+    RetryBudgetConfig {
+        refill_per_success_milli,
+        burst,
     }
 }
 
-impl Persist for HedgeConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.after.persist(out);
-        self.max_in_flight.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(HedgeConfig {
-            after: SimTime::restore(r)?,
-            max_in_flight: usize::restore(r)?,
-        })
+persist_struct! {
+    AdmissionConfig {
+        queue_limit,
+        service_estimate,
     }
 }
 
-impl Persist for BrownoutConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.queue_high.persist(out);
-        self.queue_low.persist(out);
-        self.migration_batch.persist(out);
-        self.scrub_stretch.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(BrownoutConfig {
-            queue_high: usize::restore(r)?,
-            queue_low: usize::restore(r)?,
-            migration_batch: usize::restore(r)?,
-            scrub_stretch: r.u32()?,
-        })
+persist_struct! {
+    HedgeConfig {
+        after,
+        max_in_flight,
     }
 }
 
-impl Persist for OverloadConfig {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.admission.persist(out);
-        self.retry_budget.persist(out);
-        self.breaker.persist(out);
-        self.hedge.persist(out);
-        self.brownout.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(OverloadConfig {
-            admission: Option::restore(r)?,
-            retry_budget: Option::restore(r)?,
-            breaker: Option::restore(r)?,
-            hedge: Option::restore(r)?,
-            brownout: Option::restore(r)?,
-        })
+persist_struct! {
+    BrownoutConfig {
+        queue_high,
+        queue_low,
+        migration_batch,
+        scrub_stretch,
     }
 }
 
-impl Persist for OverloadStats {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.shed_admission.persist(out);
-        self.shed_deadline.persist(out);
-        self.shed_breaker.persist(out);
-        self.expired_at_submit.persist(out);
-        self.deadline_expired.persist(out);
-        self.hedges_issued.persist(out);
-        self.hedges_won.persist(out);
-        self.hedges_cancelled.persist(out);
-        self.brownout_entries.persist(out);
-        self.stalls.persist(out);
+persist_struct! {
+    OverloadConfig {
+        admission,
+        retry_budget,
+        breaker,
+        hedge,
+        brownout,
     }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(OverloadStats {
-            shed_admission: r.u64()?,
-            shed_deadline: r.u64()?,
-            shed_breaker: r.u64()?,
-            expired_at_submit: r.u64()?,
-            deadline_expired: r.u64()?,
-            hedges_issued: r.u64()?,
-            hedges_won: r.u64()?,
-            hedges_cancelled: r.u64()?,
-            brownout_entries: r.u64()?,
-            stalls: r.u64()?,
-        })
+}
+
+persist_struct! {
+    OverloadStats {
+        shed_admission,
+        shed_deadline,
+        shed_breaker,
+        expired_at_submit,
+        deadline_expired,
+        hedges_issued,
+        hedges_won,
+        hedges_cancelled,
+        brownout_entries,
+        stalls,
     }
 }
 

@@ -24,7 +24,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::snapshot::{Persist, RestoreError, SnapReader};
 use crate::stats::{Counter, LatencyStats, LogHistogram};
 
 /// One registered metric.
@@ -186,53 +185,26 @@ impl MetricsRegistry {
     }
 }
 
-impl Persist for Metric {
-    fn persist(&self, out: &mut Vec<u8>) {
-        match self {
-            Metric::Counter(c) => {
-                out.push(0);
-                c.persist(out);
-            }
-            Metric::Latency(l) => {
-                out.push(1);
-                l.persist(out);
-            }
-            // Tag 2 belonged to a retired fixed-edge histogram and
-            // is never reused, so it restores as malformed.
-            Metric::LogHistogram(h) => {
-                out.push(3);
-                h.persist(out);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(match r.u8()? {
-            0 => Metric::Counter(Counter::restore(r)?),
-            1 => Metric::Latency(LatencyStats::restore(r)?),
-            3 => Metric::LogHistogram(LogHistogram::restore(r)?),
-            _ => {
-                return Err(RestoreError::Malformed {
-                    context: "Metric discriminant",
-                })
-            }
-        })
+// Tag 2 belonged to a retired fixed-edge histogram and is never
+// reused, so it restores as malformed.
+crate::persist_enum! {
+    Metric, "Metric discriminant" {
+        0 => Counter(counter),
+        1 => Latency(latency),
+        3 => LogHistogram(histogram),
     }
 }
 
-impl Persist for MetricsRegistry {
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.metrics.persist(out);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        Ok(MetricsRegistry {
-            metrics: BTreeMap::restore(r)?,
-        })
+crate::persist_struct! {
+    MetricsRegistry {
+        metrics,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{Persist, RestoreError, SnapReader};
     use crate::time::SimTime;
 
     #[test]

@@ -318,6 +318,14 @@ impl fmt::Display for Frequency {
     }
 }
 
+crate::persist_struct! {
+    SimTime(u64)
+}
+
+crate::persist_struct! {
+    Cycles(u64)
+}
+
 /// Common clock domains of the modelled system, as in the paper.
 pub mod clocks {
     use super::Frequency;

@@ -520,21 +520,18 @@ impl Tracer {
         let total = r.u64()?;
         let dropped = r.u64()?;
         let fingerprint = r.u64()?;
-        let count = r.len()?;
-        if count > capacity {
+        if r.peek_len()? > capacity {
             return Err(RestoreError::Malformed {
                 context: "trace ring holds more than its capacity",
             });
         }
-        let mut events = VecDeque::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let at = SimTime::restore(r)?;
-            let line = String::restore(r)?;
-            events.push_back(TraceRecord {
+        let events: VecDeque<TraceRecord> = Vec::<(SimTime, String)>::restore(r)?
+            .into_iter()
+            .map(|(at, line)| TraceRecord {
                 at,
                 event: TraceEvent::Restored { line },
-            });
-        }
+            })
+            .collect();
         match &self.inner {
             Some(inner) => {
                 inner.now.set(now);

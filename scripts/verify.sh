@@ -19,6 +19,12 @@ cargo test --workspace --quiet
 echo "==> cargo build --benches"
 cargo build --benches --workspace --quiet
 
+echo "==> perfbench harness (build)"
+# perfbench/ is a separate package that drives the simulator crates
+# through path dependencies; building it here catches an API change
+# that would break the benchmark run.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -409,3 +409,58 @@ fn snapshot_bitflip_sweep_is_a_typed_error() {
         }
     }
 }
+
+/// Hostile payloads behind a valid CRC: one section of the testbed
+/// image is corrupted per case (a bit flip, 0xFF bytes or a
+/// truncation) and re-sealed, so the payload decoders — not the CRC —
+/// see the damage. Restoring into a fresh boot must return `Ok` or a
+/// typed error; a panic or an aborting allocation fails the run.
+#[test]
+fn resealed_payload_corruption_is_ok_or_a_typed_error() {
+    use contutto_system::power8::system::Power8System;
+    use contutto_system::sim::snapshot::{SnapshotImage, SnapshotWriter};
+
+    let (_, image) = snapshot_testbed();
+    let parsed = SnapshotImage::parse(&image).expect("valid image");
+    let sections: Vec<(String, Vec<u8>)> = parsed
+        .names()
+        .map(|name| {
+            let mut r = parsed.section(name).expect("listed section");
+            (name.to_owned(), r.take(r.remaining()).unwrap().to_vec())
+        })
+        .collect();
+    let mut rng = SimRng::seed_from_u64(0x5EA1_ED00);
+    for case in 0..96 {
+        // Every section gets the same share of cases, and positions are
+        // log-uniform within it, so a small section's fields and a large
+        // one's structured prefix are hit as often as its bulk bytes.
+        // A 0xFF write covers eight bytes: an all-ones length or count.
+        let target = case % sections.len();
+        let len = sections[target].1.len();
+        let window = len.min(16 << rng.gen_index(18));
+        let pos = rng.gen_index(window);
+        let mut w = SnapshotWriter::new();
+        for (i, (name, payload)) in sections.iter().enumerate() {
+            let mut payload = payload.clone();
+            if i == target {
+                match rng.gen_index(3) {
+                    0 => payload[pos] ^= 1 << rng.gen_index(8),
+                    1 => payload[pos..len.min(pos + 8)].fill(0xFF),
+                    _ => payload.truncate(pos),
+                }
+            }
+            w.section(name, payload);
+        }
+        let mut victim = Power8System::boot(
+            contutto_system::power8::firmware::layouts::one_contutto_six_cdimm(
+                contutto_system::contutto::ContuttoConfig::base(),
+                contutto_system::contutto::MemoryPopulation::dram_8gb(),
+            ),
+            23,
+        )
+        .expect("boots");
+        if let Err(e) = victim.restore(&w.finish()) {
+            let _ = e.to_string();
+        }
+    }
+}
