@@ -6,8 +6,6 @@
 //! NVDIMMs." The firmware model reads these structures to decide
 //! memory-map placement and NVDIMM arming.
 
-use contutto_sim::snapshot::{self, Persist, SnapReader};
-
 use crate::dram::{DdrTimings, Dram};
 use crate::mram::{MramGeneration, SttMram};
 use crate::nvdimm::NvdimmN;
@@ -145,48 +143,6 @@ impl DimmModule {
             _ => None,
         }
     }
-
-    /// Serializes the device's dynamic state, tagged with the device
-    /// kind so a restore into a differently-populated slot fails as a
-    /// topology mismatch instead of misinterpreting the payload.
-    pub fn snapshot_state(&self, out: &mut Vec<u8>) {
-        match &self.device {
-            DimmDevice::Dram(d) => {
-                0u8.persist(out);
-                d.snapshot_state(out);
-            }
-            DimmDevice::Mram(d) => {
-                1u8.persist(out);
-                d.snapshot_state(out);
-            }
-            DimmDevice::Nvdimm(d) => {
-                2u8.persist(out);
-                d.snapshot_state(out);
-            }
-        }
-    }
-
-    /// Overlays a [`DimmModule::snapshot_state`] image.
-    ///
-    /// # Errors
-    ///
-    /// [`snapshot::RestoreError::TopologyMismatch`] if this slot holds
-    /// a different device kind than the image, or any decode error
-    /// from the embedded device payload.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), snapshot::RestoreError> {
-        let kind = r.u8()?;
-        match (&mut self.device, kind) {
-            (DimmDevice::Dram(d), 0) => d.restore_state(r),
-            (DimmDevice::Mram(d), 1) => d.restore_state(r),
-            (DimmDevice::Nvdimm(d), 2) => d.restore_state(r),
-            (_, 0..=2) => Err(snapshot::RestoreError::TopologyMismatch {
-                context: "dimm device kind",
-            }),
-            _ => Err(snapshot::RestoreError::Malformed {
-                context: "dimm device discriminant",
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -229,27 +185,6 @@ mod tests {
         assert!(nv.as_nvdimm_mut().is_some());
         let mut dram = DimmModule::new_dram(1 << 20, DdrTimings::ddr3_1600());
         assert!(dram.as_nvdimm_mut().is_none());
-    }
-
-    #[test]
-    fn snapshot_refuses_wrong_slot_population() {
-        let mut mram = DimmModule::new_mram(1 << 20, MramGeneration::Pmtj);
-        mram.device_mut().write(SimTime::ZERO, 0, &[5u8; 64]);
-        let mut img = Vec::new();
-        mram.snapshot_state(&mut img);
-
-        let mut same = DimmModule::new_mram(1 << 20, MramGeneration::Pmtj);
-        same.restore_state(&mut SnapReader::new(&img)).unwrap();
-        let mut buf = [0u8; 64];
-        same.device_mut().read(SimTime::from_us(1), 0, &mut buf);
-        assert_eq!(buf, [5u8; 64]);
-
-        let mut dram = DimmModule::new_dram(1 << 20, DdrTimings::ddr3_1600());
-        let err = dram.restore_state(&mut SnapReader::new(&img)).unwrap_err();
-        assert!(
-            matches!(err, snapshot::RestoreError::TopologyMismatch { .. }),
-            "got {err:?}"
-        );
     }
 
     #[test]
